@@ -19,6 +19,16 @@ sequences, so a whole block of paths is processed with batched FFTs in
 O(N log N) per path.  All trapezoid sums live on the same grid as the
 noise-averaged kernel tables, so discretization bias is common mode in
 oracle-versus-averaged comparisons.
+
+Time stepping is RK4 with step 2 dt and stages on the grid nodes.  The
+per-path equations are linear, so one step of a scalar equation
+dy/dt = a y + b is an affine map y -> A y + B; the maps of all steps and
+paths are tabulated with the RK4 stage formulas (MAP_CHUNK steps at a
+time) and applied by a one-multiply-add recurrence.  sigma_z is scalar on
+the whole grid, and zz, pm, mp are three decoupled scalar equations except
+inside the correction window: the first ceil(width / 2) steps after the
+anchor, where the two-time kernels G3/G4 are nonzero in qrt+ mode.  Only
+those steps run the coupled system one step at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +44,9 @@ from .noise import NoisePath, NoiseSpec, sample_path
 
 #: paths per reduction block; fixed so results never depend on scheduling
 BLOCK = 64
+
+#: RK4 step maps built at a time; bounds the memory the maps take
+MAP_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -74,10 +87,6 @@ def _kernel_sequences(ts, exponents, epsilon0):
     d_p = np.where(alive, env, 0.0) * np.exp(1j * q1) * rot
     d_m = np.where(alive, env, 0.0) * np.exp(1j * q1) * np.conj(rot)
     return a_c, a_s, d_p, d_m, m_cut
-
-
-def _block_paths(noise, horizon, streams):
-    return [sample_path(noise, horizon, s) for s in streams]
 
 
 def _path_node_arrays(paths, ts):
@@ -138,50 +147,90 @@ def _two_time_kernels(ts, cum, d_p, d_m, epsilon0, omega_n, v2, i2, m_cut):
     return g3, g4, i_idx
 
 
+def _rk4_step(f, y, h):
+    """One RK4 step of dy/dt = f; ``f(j, y)`` evaluates the right-hand side
+    at the step's start (j = 0), midpoint (1) and end node (2)."""
+    k1 = f(0, y)
+    k2 = f(1, y + 0.5 * h * k1)
+    k3 = f(1, y + 0.5 * h * k2)
+    k4 = f(2, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _rk4_maps(a, b, h):
+    """Affine maps y -> A y + B of the RK4 steps of dy/dt = a y + b.
+
+    ``a`` and ``b`` (None: b = 0) hold the coefficients on 2L + 1
+    consecutive grid nodes along the last axis; step m has its stages on
+    nodes 2m, 2m+1, 2m+1, 2m+2.  A is the step taken from y = 1 with b = 0,
+    B the step taken from y = 0."""
+    nodes = (slice(0, -2, 2), slice(1, None, 2), slice(2, None, 2))
+    a = [a[..., s] for s in nodes]
+    step_of_one = _rk4_step(lambda j, y: a[j] * y, 1.0, h)
+    if b is None:
+        return step_of_one, None
+    b = [b[..., s] for s in nodes]
+    return step_of_one, _rk4_step(lambda j, y: a[j] * y + b[j], 0.0, h)
+
+
+def _apply_maps(y, out, maps):
+    """Carry y through consecutive step maps, storing step m's result in
+    out[m] (time runs along the first axis of ``out``).  ``maps(lo, hi)``
+    returns (A, B) for the steps whose nodes run from lo to hi, counted
+    from the first step's start node, with steps along the last axis; they
+    are built MAP_CHUNK steps at a time to bound their memory."""
+    n_steps = len(out)
+    for m0 in range(0, n_steps, MAP_CHUNK):
+        m1 = min(n_steps, m0 + MAP_CHUNK)
+        a_map, b_map = (np.ascontiguousarray(np.moveaxis(c, -1, 0))
+                        for c in maps(2 * m0, 2 * m1))
+        for a_m, b_m, dst in zip(a_map, b_map, out[m0:m1]):
+            np.multiply(a_m, y, out=dst)
+            dst += b_m
+            y = dst
+    return y
+
+
 def _run_sigma_z(ts, gam1, gam2, sz0):
     """g(t) on coarse nodes by RK4 with kernel stages at every grid node."""
     n = len(ts)
     step = 2.0 * (ts[1] - ts[0])
-    n_out = (n - 1) // 2 + 1
-    b = gam1.shape[0]
-    out = np.empty((b, n_out))
-    g = np.full(b, float(sz0))
-    out[:, 0] = g
-    for m in range(n_out - 1):
-        i = 2 * m
-        k1 = -gam1[:, i] * g - gam2[:, i]
-        y2 = g + 0.5 * step * k1
-        k2 = -gam1[:, i + 1] * y2 - gam2[:, i + 1]
-        y3 = g + 0.5 * step * k2
-        k3 = -gam1[:, i + 1] * y3 - gam2[:, i + 1]
-        y4 = g + step * k3
-        k4 = -gam1[:, i + 2] * y4 - gam2[:, i + 2]
-        g = g + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, m + 1] = g
-    return out
+    out = np.empty(((n - 1) // 2 + 1, gam1.shape[0]))
+    out[0] = sz0
+
+    def maps(lo, hi):
+        return _rk4_maps(-gam1[:, lo:hi + 1], -gam2[:, lo:hi + 1], step)
+
+    _apply_maps(out[0], out[1:], maps)
+    return out.T
 
 
 def _run_two_time(ts, i2, signs, gam1, gam2, gam5, g3, g4, epsilon0,
-                  omega_n, sz_t2, mode):
-    """RK4 for (zz, pm, mp) from the equal-time initial data at node i2."""
+                  omega_n, sz_t2):
+    """RK4 for (zz, pm, mp) from the equal-time initial data at node i2.
+
+    The correction kernels g3/g4 (None in qrt mode) couple the three
+    correlators only on their first nodes after the anchor; those steps run
+    the coupled system one step at a time.  Every later step (every step in
+    qrt mode) is a decoupled scalar equation per correlator, applied as a
+    tabulated step map."""
     n = len(ts)
     step = 2.0 * (ts[1] - ts[0])
-    n_out = (n - 1 - i2) // 2 + 1
+    n_steps = (n - 1 - i2) // 2
     b = signs.shape[0]
-    zz = np.empty((b, n_out), dtype=complex)
-    pm = np.empty((b, n_out), dtype=complex)
-    mp = np.empty((b, n_out), dtype=complex)
-    y_zz = np.ones(b, dtype=complex)
-    y_pm = (1.0 + sz_t2) / 2.0 + 0j
-    y_mp = (1.0 - sz_t2) / 2.0 + 0j
-    zz[:, 0], pm[:, 0], mp[:, 0] = y_zz, y_pm, y_mp
-    width = g3.shape[1]
-    use_corr = mode == "qrt+"
+    out = np.empty((n_steps + 1, 3, b), dtype=complex)  # zz, pm, mp
+    out[0, 0] = 1.0
+    out[0, 1] = (1.0 + sz_t2) / 2.0
+    out[0, 2] = (1.0 - sz_t2) / 2.0
+    width = 0 if g3 is None else g3.shape[1]
+    # step m reads the kernels on nodes i2 + 2m .. i2 + 2m + 2
+    n_coupled = min(n_steps, (width + 1) // 2)
     zero = np.zeros(b, dtype=complex)
 
-    def deriv(i, a_zz, a_pm, a_mp):
+    def deriv(i, y):
+        a_zz, a_pm, a_mp = y
         off = i - i2
-        if use_corr and off < width:
+        if off < width:
             c3, c4 = g3[:, off], g4[:, off]
         else:
             c3, c4 = zero, zero
@@ -190,34 +239,30 @@ def _run_two_time(ts, i2, signs, gam1, gam2, gam5, g3, g4, epsilon0,
         d_zz = -gam1[:, i] * a_zz - gam2[:, i] * sz_t2 - 4.0 * c3 * a_pm + 4.0 * c4 * a_mp
         d_pm = (phase - g5) * a_pm + c4 * a_zz
         d_mp = (-phase - np.conj(g5)) * a_mp + c3 * a_zz
-        return d_zz, d_pm, d_mp
+        return np.array([d_zz, d_pm, d_mp])
 
-    for m in range(n_out - 1):
+    for m in range(n_coupled):
         i = i2 + 2 * m
-        k1 = deriv(i, y_zz, y_pm, y_mp)
-        k2 = deriv(
-            i + 1,
-            y_zz + 0.5 * step * k1[0],
-            y_pm + 0.5 * step * k1[1],
-            y_mp + 0.5 * step * k1[2],
+        out[m + 1] = _rk4_step(lambda j, y: deriv(i + j, y), out[m], step)
+
+    i0 = i2 + 2 * n_coupled
+
+    def maps(lo, hi):
+        nodes = slice(i0 + lo, i0 + hi + 1)
+        a_zz, b_zz = _rk4_maps(
+            -gam1[:, nodes], -gam2[:, nodes] * sz_t2[:, None], step
         )
-        k3 = deriv(
-            i + 1,
-            y_zz + 0.5 * step * k2[0],
-            y_pm + 0.5 * step * k2[1],
-            y_mp + 0.5 * step * k2[2],
+        # the mp coefficient is the conjugate of the pm one, and so is its map
+        a_pm, _ = _rk4_maps(
+            1j * (epsilon0 + omega_n * signs[:, nodes]) - gam5[:, nodes],
+            None, step,
         )
-        k4 = deriv(
-            i + 2,
-            y_zz + step * k3[0],
-            y_pm + step * k3[1],
-            y_mp + step * k3[2],
-        )
-        y_zz = y_zz + (step / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y_pm = y_pm + (step / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        y_mp = y_mp + (step / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        zz[:, m + 1], pm[:, m + 1], mp[:, m + 1] = y_zz, y_pm, y_mp
-    return zz, pm, mp
+        b_map = np.zeros((3,) + b_zz.shape, dtype=complex)
+        b_map[0] = b_zz
+        return np.stack([a_zz, a_pm, np.conj(a_pm)]), b_map
+
+    _apply_maps(out[n_coupled], out[n_coupled + 1:], maps)
+    return out[:, 0].T, out[:, 1].T, out[:, 2].T
 
 
 def _evolve_block(paths, ts, i2, seqs, system, noise, mode):
@@ -229,14 +274,18 @@ def _evolve_block(paths, ts, i2, seqs, system, noise, mode):
     gam1 = 4.0 * v2 * z_c.real
     gam2 = 4.0 * v2 * z_s.imag
     gam5 = 2.0 * v2 * np.conj(z_c)
+    del z_c, z_s
     g_series = _run_sigma_z(ts, gam1, gam2, system.initial_sz)
     sz_t2 = g_series[:, i2 // 2]
-    g3, g4, _ = _two_time_kernels(
-        ts, cum, d_p, d_m, system.epsilon0, noise.omega_n, v2, i2, m_cut
-    )
+    g3 = g4 = None
+    if mode == "qrt+":
+        g3, g4, _ = _two_time_kernels(
+            ts, cum, d_p, d_m, system.epsilon0, noise.omega_n, v2, i2, m_cut
+        )
+    del cum
     zz, pm, mp = _run_two_time(
         ts, i2, signs, gam1, gam2, gam5, g3, g4, system.epsilon0,
-        noise.omega_n, sz_t2, mode,
+        noise.omega_n, sz_t2,
     )
     return g_series, sz_t2, zz, pm, mp
 
@@ -276,12 +325,6 @@ def _anchor_index(ts, t2):
     return i2
 
 
-def _accumulate(series_list):
-    """Deterministic pairwise reduction of per-block partial sums."""
-    stacked = np.stack(series_list)
-    return np.sum(stacked, axis=0)
-
-
 def _estimate(sums, sums_re2, sums_im2, n):
     mean = sums / n
     var_re = np.maximum(sums_re2 - sums.real**2 / n, 0.0) / max(n - 1, 1)
@@ -294,14 +337,28 @@ def _estimate(sums, sums_re2, sums_im2, n):
     )
 
 
+def _block_sums(paths, ts, i2, seqs, system, noise, mode):
+    """For sz, zz, pm and mp in turn: the sum over one block's paths and
+    the sums of the squared real and imaginary parts.  The per-path series
+    are freed on return."""
+    g_series, _, zz, pm, mp = _evolve_block(
+        paths, ts, i2, seqs, system, noise, mode
+    )
+    sums = []
+    for arr in (g_series.astype(complex), zz, pm, mp):
+        sums += [arr.sum(axis=0), (arr.real**2).sum(axis=0),
+                 (arr.imag**2).sum(axis=0)]
+    return sums
+
+
 def monte_carlo(ts, t2, system, bath, noise, n_paths, mode="qrt+",
                 exponents=None, block=BLOCK):
     """Ensemble means and standard errors of the four correlators.
 
     Results are bit-identical for a fixed (seed, n_paths) regardless of how
     the work is scheduled: path p always uses stream index p, blocks have a
-    fixed size, and block partial sums are combined in index order by
-    pairwise summation.
+    fixed size, and each block's sums over its paths are added to running
+    totals in block-index order.
     """
     if n_paths < 100:
         raise ValueError("monte_carlo requires n_paths >= 100")
@@ -312,27 +369,19 @@ def monte_carlo(ts, t2, system, bath, noise, n_paths, mode="qrt+",
     seqs = _kernel_sequences(ts, exponents, system.epsilon0)
     horizon = float(ts[-1])
 
-    partial = {k: [] for k in ("sz", "zz", "pm", "mp")}
-    partial_sq = {k: ([], []) for k in ("sz", "zz", "pm", "mp")}
-
+    totals = None
     for start in range(0, n_paths, block):
-        streams = range(start, min(n_paths, start + block))
-        paths = _block_paths(noise, horizon, streams)
-        g_series, _, zz, pm, mp = _evolve_block(
-            paths, ts, i2, seqs, system, noise, mode
-        )
-        for key, arr in (("sz", g_series.astype(complex)), ("zz", zz),
-                         ("pm", pm), ("mp", mp)):
-            partial[key].append(arr.sum(axis=0))
-            partial_sq[key][0].append((arr.real**2).sum(axis=0))
-            partial_sq[key][1].append((arr.imag**2).sum(axis=0))
+        paths = [sample_path(noise, horizon, s)
+                 for s in range(start, min(n_paths, start + block))]
+        sums = _block_sums(paths, ts, i2, seqs, system, noise, mode)
+        totals = sums if totals is None else [
+            t + s for t, s in zip(totals, sums)
+        ]
 
-    out = {}
-    for key in ("sz", "zz", "pm", "mp"):
-        sums = _accumulate(partial[key])
-        re2 = _accumulate(partial_sq[key][0])
-        im2 = _accumulate(partial_sq[key][1])
-        out[key] = _estimate(sums, re2, im2, n_paths)
+    out = {
+        key: _estimate(*totals[3 * k:3 * k + 3], n_paths)
+        for k, key in enumerate(("sz", "zz", "pm", "mp"))
+    }
     out["t_full"] = ts[::2]
     out["t1"] = ts[i2::2]
     return out

@@ -122,7 +122,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     mode = cfg.run.mode if cfg.run.mode != "both" else "qrt+"
-    table, series = compute_series(cfg, mode="both" if cfg.run.mode == "both" else mode)
+    table, series = compute_series(cfg, mode=mode)
     y = series.qrt_plus if mode == "qrt+" else series.qrt
     tau = series.t1 - series.t2
     meta = cfg.resolved_dict(t2=series.t2, spectrum_mode=mode)

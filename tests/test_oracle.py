@@ -7,8 +7,12 @@ from telespin.dynamics import SystemSpec, evolve_two_time
 from telespin.kernels import build_single_time, resolution_bound
 from telespin.noise import NoisePath, NoiseSpec, propagators, sample_path
 from telespin.oracle import (
+    BLOCK,
+    MAP_CHUNK,
     _kernel_sequences,
     _path_node_arrays,
+    _run_sigma_z,
+    _run_two_time,
     _single_time_kernels,
     _two_time_kernels,
     evolve_trajectory,
@@ -77,6 +81,130 @@ class TestBlockEngineAgainstReference:
                                     self.noise, dt=self.h)
             assert g3[0, off] == pytest.approx(ref3, abs=1e-12)
             assert g4[0, off] == pytest.approx(ref4, abs=1e-12)
+
+
+def plain_rk4(rhs, y, i_start, n_steps, h):
+    """Classic RK4, one step at a time, stages on nodes i, i+1, i+1, i+2."""
+    out = [y]
+    for m in range(n_steps):
+        i = i_start + 2 * m
+        k1 = rhs(i, y)
+        k2 = rhs(i + 1, y + 0.5 * h * k1)
+        k3 = rhs(i + 1, y + 0.5 * h * k2)
+        k4 = rhs(i + 2, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y)
+    return np.array(out)
+
+
+class TestStepMapsAgainstPlainRK4:
+    """Tabulated step maps plus the coupled window reproduce per-step RK4 of
+    the full per-path equations."""
+
+    def setup_method(self):
+        self.system = SystemSpec(1.0, v=1.0)
+        self.noise = NoiseSpec(0.75, 1.0, seed=4)
+        self.ts = make_grid(HOT, self.system, self.noise, 3.0)
+        self.n = len(self.ts)
+        self.h = 2.0 * (self.ts[1] - self.ts[0])
+        self.seqs = _kernel_sequences(self.ts, exponent_fn(HOT, "short-time"),
+                                      self.system.epsilon0)
+        # the sigma_z run and the decoupled two-time runs span several chunks
+        assert (self.n - 1) // 2 > 2 * MAP_CHUNK
+
+    def kernels(self, paths):
+        a_c, a_s, _, _, m_cut = self.seqs
+        signs, cum = _path_node_arrays(paths, self.ts)
+        z_c, z_s = _single_time_kernels(
+            self.ts, cum, a_c, a_s, self.noise.omega_n,
+            next_fast_len(self.n + m_cut + 1),
+        )
+        return signs, cum, 4.0 * z_c.real, 4.0 * z_s.imag, 2.0 * np.conj(z_c)
+
+    def two_time_kernels(self, cum, i2):
+        _, _, d_p, d_m, m_cut = self.seqs
+        g3, g4, _ = _two_time_kernels(self.ts, cum, d_p, d_m,
+                                      self.system.epsilon0,
+                                      self.noise.omega_n, 1.0, i2, m_cut)
+        return g3, g4
+
+    def reference(self, signs, gam1, gam2, gam5, g3, g4, i2):
+        e0, om = self.system.epsilon0, self.noise.omega_n
+        sz = plain_rk4(lambda i, g: -gam1[:, i] * g - gam2[:, i],
+                       np.ones(len(signs)), 0, (self.n - 1) // 2, self.h)
+        sz_t2 = sz[i2 // 2]
+        width = 0 if g3 is None else g3.shape[1]
+
+        def rhs(i, y):
+            zz, pm, mp = y
+            c3 = g3[:, i - i2] if i - i2 < width else 0.0
+            c4 = g4[:, i - i2] if i - i2 < width else 0.0
+            a = 1j * (e0 + om * signs[:, i]) - gam5[:, i]
+            return np.array([
+                -gam1[:, i] * zz - gam2[:, i] * sz_t2 - 4.0 * c3 * pm
+                + 4.0 * c4 * mp,
+                a * pm + c4 * zz,
+                np.conj(a) * mp + c3 * zz,
+            ])
+
+        y0 = np.array([np.ones(len(signs)), (1.0 + sz_t2) / 2.0,
+                       (1.0 - sz_t2) / 2.0], dtype=complex)
+        two = plain_rk4(rhs, y0, i2, (self.n - 1 - i2) // 2, self.h)
+        return sz.T, two[:, 0].T, two[:, 1].T, two[:, 2].T
+
+    def check(self, n_paths, i2, mode, width=None):
+        paths = [sample_path(self.noise, 3.0, s) for s in range(n_paths)]
+        signs, cum, gam1, gam2, gam5 = self.kernels(paths)
+        g3 = g4 = None
+        if mode == "qrt+":
+            g3, g4 = self.two_time_kernels(cum, i2)
+            if width is not None:
+                g3, g4 = g3[:, :width], g4[:, :width]
+        sz = _run_sigma_z(self.ts, gam1, gam2, 1.0)
+        got = (sz,) + _run_two_time(
+            self.ts, i2, signs, gam1, gam2, gam5, g3, g4,
+            self.system.epsilon0, self.noise.omega_n, sz[:, i2 // 2],
+        )
+        ref = self.reference(signs, gam1, gam2, gam5, g3, g4, i2)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.allclose(a, b, atol=1e-12, rtol=0)
+        return g3
+
+    def test_qrt(self):
+        self.check(3, 708, "qrt")
+
+    def test_qrt_plus(self):
+        self.check(3, 708, "qrt+")
+
+    @pytest.mark.parametrize("width", [41, 40])
+    def test_qrt_plus_window_parity(self, width):
+        # a window cut where the kernels are still large; at odd width the
+        # last coupled step straddles its edge
+        g3 = self.check(3, 708, "qrt+", width=width)
+        assert np.min(np.abs(g3[:, -1])) > 1e-3
+
+    def test_anchor_at_origin(self):
+        g3 = self.check(3, 0, "qrt+")
+        assert not np.any(g3)
+
+    def test_window_past_last_node(self):
+        i2 = self.n - 1 - 100
+        g3 = self.check(3, i2, "qrt+")
+        assert g3.shape[1] == self.n - i2 < self.seqs[4] + 1
+
+    def test_ensemble_over_blocks(self):
+        n_paths = BLOCK + 36
+        i2 = 708
+        mc = monte_carlo(self.ts, self.ts[i2], self.system, HOT, self.noise,
+                         n_paths)
+        paths = [sample_path(self.noise, 3.0, s) for s in range(n_paths)]
+        signs, cum, gam1, gam2, gam5 = self.kernels(paths)
+        g3, g4 = self.two_time_kernels(cum, i2)
+        ref = self.reference(signs, gam1, gam2, gam5, g3, g4, i2)
+        for key, series in zip(("sz", "zz", "pm", "mp"), ref):
+            assert np.allclose(mc[key].mean, series.mean(axis=0), atol=1e-12,
+                               rtol=0)
 
 
 class TestGammaAlongPath:
