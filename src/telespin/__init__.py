@@ -9,26 +9,22 @@ average over explicit noise realizations.
 """
 
 from .bath import (
-    BathExponents,
     BathSpec,
     QuadratureError,
-    bath_exponents,
     reorganization_energy,
     reorganization_energy_quadrature,
     spectral_density,
     xi_coefficient,
 )
-from .noise import NoisePath, NoiseSpec, integrate_path, propagators, sample_path
+from .noise import NoisePath, NoiseSpec, propagators, sample_path
 from .kernels import (
     GridResolutionError,
     KernelTable,
     build_single_time,
-    elementary,
     resolution_bound,
 )
 from .dynamics import (
     CorrelationSeries,
-    CorrelationState,
     IntegratorError,
     SystemSpec,
     assemble_generator,

@@ -62,19 +62,6 @@ class BathSpec:
             )
 
 
-@dataclass(frozen=True)
-class BathExponents:
-    """Bath correlation exponents at a single time.
-
-    q1 is the phase (imaginary part of the exponent), q2 the decay
-    (real part); ``exp(-q2 + i*q1)`` multiplies the memory kernels.
-    """
-
-    q1: float
-    q2: float
-    mode: str
-
-
 def spectral_density(omega, bath: BathSpec):
     """J(omega) for the damped-oscillator bath; vectorized over omega."""
     w = np.asarray(omega, dtype=float)
@@ -203,9 +190,11 @@ def _exact_q2(t, bath, rtol=1e-9):
     return _tail_doubled_quad(f, t, bath, rtol, "Q2") / TWO_PI
 
 
-def bath_exponents(t: float, bath: BathSpec, mode: str = "short-time") -> BathExponents:
-    """Q1(t), Q2(t) in the requested mode.
+def exponent_fn(bath: BathSpec, mode: str = "short-time"):
+    """Vectorized (q1, q2) evaluator used by the kernel builders.
 
+    q1 is the phase and q2 the decay of the bath-correlation exponent;
+    ``exp(-q2 + i*q1)`` multiplies the memory kernels.
     mode="short-time": Q1 = E_r t, Q2 = +xi t^2.  The displayed short-time
     decay is implemented with a positive sign so that e^{-Q2} decays, which
     positivity of xi requires.
@@ -213,19 +202,6 @@ def bath_exponents(t: float, bath: BathSpec, mode: str = "short-time") -> BathEx
     Q1 = (1/2 pi) \\int J/w^2 sin(w t) dw,
     Q2 = (1/2 pi) \\int J/w^2 coth(beta w/2)(1 - cos w t) dw.
     """
-    if t < 0:
-        raise ValueError("bath_exponents requires t >= 0")
-    if mode == "short-time":
-        e_r = reorganization_energy(bath)
-        xi = xi_coefficient(bath)
-        return BathExponents(q1=e_r * t, q2=xi * t * t, mode=mode)
-    if mode == "exact":
-        return BathExponents(q1=_exact_q1(t, bath), q2=_exact_q2(t, bath), mode=mode)
-    raise ValueError(f"unknown bath exponent mode: {mode!r}")
-
-
-def exponent_fn(bath: BathSpec, mode: str = "short-time"):
-    """Vectorized (q1, q2) evaluator used by the kernel builders."""
     if mode == "short-time":
         e_r = reorganization_energy(bath)
         xi = xi_coefficient(bath)

@@ -50,23 +50,6 @@ class SystemSpec:
         if abs(self.initial_sz) > 1.0:
             raise ValueError(f"|initial_sz| must be <= 1, got {self.initial_sz}")
 
-    @property
-    def v_reduced(self) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class CorrelationState:
-    """Equal-time-consistent six-component correlation vector."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=complex)
-        if y.shape != (6,):
-            raise ValueError("CorrelationState requires 6 components")
-        object.__setattr__(self, "y", y)
-
 
 @dataclass
 class CorrelationSeries:
@@ -81,22 +64,23 @@ class CorrelationSeries:
     qrt_plus: np.ndarray | None
 
 
-def equal_time_initials(g1_at_t2, g2_at_t2) -> CorrelationState:
+def equal_time_initials(g1_at_t2, g2_at_t2) -> np.ndarray:
     """Y(t2) from the operator identities sz sz = I, s+- s-+ = (I +- sz)/2."""
     g1 = complex(g1_at_t2)
     g2 = complex(g2_at_t2)
     if abs(g1) > 1.0 + 1e-6:
         raise ValueError(f"|g1(t2)| = {abs(g1)} exceeds 1")
-    return CorrelationState(
-        np.array(
-            [1.0, 0.0, (1.0 + g1) / 2.0, g2 / 2.0, (1.0 - g1) / 2.0, -g2 / 2.0],
-            dtype=complex,
-        )
+    return np.array(
+        [1.0, 0.0, (1.0 + g1) / 2.0, g2 / 2.0, (1.0 - g1) / 2.0, -g2 / 2.0],
+        dtype=complex,
     )
 
 
 def evolve_single_time(table: KernelTable, initial_sz: float, rtol=RTOL, atol=ATOL):
-    """(g1, g2) on the table grid from g1(0) = initial_sz, g2(0) = 0."""
+    """(g1, g2) on the table grid from g1(0) = initial_sz, g2(0) = 0.
+
+    Raises IntegratorError if the solve fails or |g1| exceeds 1 + 1e-6.
+    """
 
     def rhs(t, y):
         g11, g12, g21, g22, *_ = table.single_time_at(t)
@@ -117,7 +101,10 @@ def evolve_single_time(table: KernelTable, initial_sz: float, rtol=RTOL, atol=AT
     )
     if not sol.success:
         raise IntegratorError(f"single-time integration failed: {sol.message}")
-    return sol.y[0], sol.y[1]
+    g1, g2 = sol.y
+    if np.max(np.abs(g1.real)) > 1.0 + 1e-6:
+        raise IntegratorError("single-time solution violates |<sigma_z>| <= 1")
+    return g1, g2
 
 
 def choose_t2(ts, g1, frac: float = 0.01, cap_frac: float = 0.6):
@@ -149,12 +136,10 @@ def assemble_generator(
     g1_t2: complex,
     g2_t2: complex,
     mode: str,
-    mutate=None,
 ):
     """(A, b) of the six-component system at (t1, t2).
 
-    mode="qrt" zeroes every two-time kernel entry; the mutate hook (tests
-    only) may alter the assembled pair before it is returned.
+    mode="qrt" zeroes every two-time kernel entry.
     """
     if t1 < t2:
         raise ValueError(f"assemble_generator requires t1 >= t2 (got {t1} < {t2})")
@@ -183,43 +168,38 @@ def assemble_generator(
     b = np.zeros(6, dtype=complex)
     b[0] = -g21 * g1_t2 - decay * g22 * g2_t2
     b[1] = -g22 * g1_t2 - decay * g21 * g2_t2
-    if mutate is not None:
-        A, b = mutate(A, b)
     return A, b
 
 
 def evolve_two_time(
     table: KernelTable,
-    system: SystemSpec,
+    g1: np.ndarray,
+    g2: np.ndarray,
+    t2: float,
     mode: str = "both",
-    t2: float | None = None,
     rtol: float = RTOL,
     atol: float = ATOL,
-    mutate=None,
 ) -> CorrelationSeries:
-    """Full pipeline: single-time background, anchor, then Y(t1) per mode.
+    """Y(t1) per mode from the anchor t2, given the single-time background.
 
-    Both requested modes start from the identical equal-time initial data.
-    Physicality is enforced on output: |Y_1| must stay within 1 + 1e-3.
+    g1, g2 are the evolve_single_time solution on the table grid; t2 must be
+    a grid node (choose_t2 picks one from g1).  Both requested modes start
+    from the identical equal-time initial data at t2.  Physicality is
+    enforced on output: |Y_1| must stay within 1 + 1e-3.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     ts = table.ts
-    g1, g2 = evolve_single_time(table, system.initial_sz, rtol, atol)
-    if np.max(np.abs(g1.real)) > 1.0 + 1e-6:
-        raise IntegratorError("single-time solution violates |<sigma_z>| <= 1")
-    if t2 is None:
-        t2 = choose_t2(ts, g1)
     i2 = int(round(t2 / table.dt))
     if abs(i2 * table.dt - t2) > 1e-9 * max(1.0, t2):
         raise ValueError("t2 must coincide with a grid node")
     t2 = float(ts[i2])
-    y0 = equal_time_initials(g1[i2], g2[i2]).y
+    y0 = equal_time_initials(g1[i2], g2[i2])
     t_out = ts[i2:]
 
     def run(m):
         def rhs(t1, y):
-            A, b = assemble_generator(t1, t2, table, g1[i2], g2[i2], m, mutate)
+            A, b = assemble_generator(t1, t2, table, g1[i2], g2[i2], m)
             return A @ y + b
 
         sol = solve_ivp(

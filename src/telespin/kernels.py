@@ -33,8 +33,6 @@ from .noise import NoiseSpec, propagators
 #: grid step must resolve the fastest dynamical scale by this factor
 GRID_GUARD_FACTOR = 0.02
 
-ELEMENTARY_KINDS = ("cc", "cs", "ss", "sc", "c+", "c-", "f+", "f-")
-
 
 class GridResolutionError(ValueError):
     """The grid step does not resolve the fastest dynamical scale."""
@@ -51,34 +49,6 @@ def resolution_bound(xi: float, epsilon0: float, omega_n: float, nu: float) -> f
     return GRID_GUARD_FACTOR * min(scales)
 
 
-def elementary(kind: str, t, exponents, epsilon0: float):
-    """Elementary kernel integrand E_kind(t); vectorized over t.
-
-    cc/cs/ss/sc: e^{-Q2} (c|s)(Q1) (c|s)(e0 t); c+/c-: e^{-Q2} cos(Q1)
-    e^{+-i e0 t}; f+/f-: e^{-Q2} e^{i(Q1 +- e0 t)}.
-    """
-    t = np.asarray(t, dtype=float)
-    q1, q2 = exponents(t)
-    env = np.exp(-q2)
-    if kind == "cc":
-        return env * np.cos(q1) * np.cos(epsilon0 * t)
-    if kind == "cs":
-        return env * np.cos(q1) * np.sin(epsilon0 * t)
-    if kind == "ss":
-        return env * np.sin(q1) * np.sin(epsilon0 * t)
-    if kind == "sc":
-        return env * np.sin(q1) * np.cos(epsilon0 * t)
-    if kind == "c+":
-        return env * np.cos(q1) * np.exp(1j * epsilon0 * t)
-    if kind == "c-":
-        return env * np.cos(q1) * np.exp(-1j * epsilon0 * t)
-    if kind == "f+":
-        return env * np.exp(1j * (q1 + epsilon0 * t))
-    if kind == "f-":
-        return env * np.exp(1j * (q1 - epsilon0 * t))
-    raise ValueError(f"unknown elementary kind: {kind!r}")
-
-
 @dataclass(frozen=True)
 class KernelTable:
     """Immutable kernel tables on a uniform grid (shareable across workers)."""
@@ -89,7 +59,6 @@ class KernelTable:
     v2: float
     nu: float
     omega_n: float
-    s1_denominator: str
     g11: np.ndarray
     g12: np.ndarray
     g21: np.ndarray
@@ -105,15 +74,6 @@ class KernelTable:
     _em1: np.ndarray = field(repr=False)
     exponents: object = field(repr=False)
     support_cut: float = field(repr=False)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.ts[-1])
-
-    @property
-    def inhomogeneity_tables(self):
-        """The two sigma_z-equation inhomogeneity series (aliases of row 2)."""
-        return self.g21, self.g22
 
     def single_time_at(self, t: float):
         """Linear interpolation of the eight single-time kernels at t."""
@@ -162,13 +122,6 @@ class KernelTable:
         g41 = self.v2 * np.dot(w, fm * self._em0[: m + 1])
         g42 = self.v2 * np.dot(w, fm * self._em1[: m + 1])
         return g31, g32, g41, g42
-
-    def two_time(self, i: int, j: int, t1: float, t2: float) -> complex:
-        """Single two-time kernel G_{i,j}(t1, t2) for i in {3,4}, j in {1,2}."""
-        if i not in (3, 4) or j not in (1, 2):
-            raise ValueError("two_time expects i in {3,4}, j in {1,2}")
-        pair = self.two_time_pair(t1, t2)
-        return pair[{(3, 1): 0, (3, 2): 1, (4, 1): 2, (4, 2): 3}[(i, j)]]
 
     def dump_rows(self):
         """Column mapping used by the --dump-kernels CSV."""
@@ -248,7 +201,6 @@ def build_single_time(
         v2=v2,
         nu=noise.nu,
         omega_n=noise.omega_n,
-        s1_denominator=s1_denominator,
         g11=4.0 * v2 * cum(kc * cos_e * s0),
         g12=1j * 4.0 * v2 * cum(kc * sin_e * s1),
         g21=4.0 * v2 * cum(ks * sin_e * s0),

@@ -166,7 +166,3 @@ def sample_path(noise: NoiseSpec, horizon: float, stream_index: int = 0) -> Nois
         horizon=horizon,
     )
 
-
-def integrate_path(path: NoisePath, a: float, b: float) -> float:
-    """Oriented \\int_a^b alpha(z) dz, exact for the piecewise-constant path."""
-    return float(path.cumulative(b) - path.cumulative(a))

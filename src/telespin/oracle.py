@@ -325,30 +325,48 @@ def _anchor_index(ts, t2):
     return i2
 
 
-def _estimate(sums, sums_re2, sums_im2, n):
-    mean = sums / n
-    var_re = np.maximum(sums_re2 - sums.real**2 / n, 0.0) / max(n - 1, 1)
-    var_im = np.maximum(sums_im2 - sums.imag**2 / n, 0.0) / max(n - 1, 1)
+def _estimate(sums, m2_re, m2_im, n):
+    """Mean and standard errors from the sum over n paths and the sums of
+    squared deviations of the real and imaginary parts from the mean."""
     return MCEstimate(
-        mean=mean,
-        se_re=np.sqrt(var_re / n),
-        se_im=np.sqrt(var_im / n),
+        mean=sums / n,
+        se_re=np.sqrt(m2_re / max(n - 1, 1) / n),
+        se_im=np.sqrt(m2_im / max(n - 1, 1) / n),
         n_paths=n,
     )
 
 
 def _block_sums(paths, ts, i2, seqs, system, noise, mode):
-    """For sz, zz, pm and mp in turn: the sum over one block's paths and
-    the sums of the squared real and imaginary parts.  The per-path series
-    are freed on return."""
+    """For sz, zz, pm and mp in turn: the sum over one block's paths and the
+    sums of squared deviations of the real and imaginary parts from the
+    block mean.  The per-path series are freed on return."""
     g_series, _, zz, pm, mp = _evolve_block(
         paths, ts, i2, seqs, system, noise, mode
     )
+    n = len(paths)
     sums = []
     for arr in (g_series.astype(complex), zz, pm, mp):
-        sums += [arr.sum(axis=0), (arr.real**2).sum(axis=0),
-                 (arr.imag**2).sum(axis=0)]
+        total = arr.sum(axis=0)
+        sums.append(total)
+        for part, mean in ((arr.real, total.real / n), (arr.imag, total.imag / n)):
+            dev = part - mean
+            np.square(dev, out=dev)
+            sums.append(dev.sum(axis=0))
     return sums
+
+
+def _merge(acc, n_acc, blk, n_blk):
+    """Pairwise update of (sum, M2_re, M2_im) triples: the sums add, and
+    M2 = M2a + M2b + d^2 na nb / (na + nb) with d the difference of means."""
+    w = n_acc * n_blk / (n_acc + n_blk)
+    out = []
+    for k in range(0, len(acc), 3):
+        s_a, s_b = acc[k], blk[k]
+        d = s_b / n_blk - s_a / n_acc
+        out += [s_a + s_b,
+                acc[k + 1] + blk[k + 1] + d.real**2 * w,
+                acc[k + 2] + blk[k + 2] + d.imag**2 * w]
+    return out
 
 
 def monte_carlo(ts, t2, system, bath, noise, n_paths, mode="qrt+",
@@ -358,7 +376,9 @@ def monte_carlo(ts, t2, system, bath, noise, n_paths, mode="qrt+",
     Results are bit-identical for a fixed (seed, n_paths) regardless of how
     the work is scheduled: path p always uses stream index p, blocks have a
     fixed size, and each block's sums over its paths are added to running
-    totals in block-index order.
+    totals in block-index order.  Variances are merged from per-block sums
+    of squared deviations about the block mean, so they do not cancel where
+    the spread is small against the mean.
     """
     if n_paths < 100:
         raise ValueError("monte_carlo requires n_paths >= 100")
@@ -371,12 +391,12 @@ def monte_carlo(ts, t2, system, bath, noise, n_paths, mode="qrt+",
 
     totals = None
     for start in range(0, n_paths, block):
-        paths = [sample_path(noise, horizon, s)
-                 for s in range(start, min(n_paths, start + block))]
+        stop = min(n_paths, start + block)
+        paths = [sample_path(noise, horizon, s) for s in range(start, stop)]
         sums = _block_sums(paths, ts, i2, seqs, system, noise, mode)
-        totals = sums if totals is None else [
-            t + s for t, s in zip(totals, sums)
-        ]
+        totals = sums if totals is None else _merge(
+            totals, start, sums, stop - start
+        )
 
     out = {
         key: _estimate(*totals[3 * k:3 * k + 3], n_paths)

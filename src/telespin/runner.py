@@ -69,14 +69,13 @@ def _write_config(cfg, outdir, **extra):
 
 
 def compute_series(cfg: ExperimentConfig, mode=None):
-    """Shared pipeline: table, background, anchor, both propagations."""
+    """Shared pipeline: table, single-time background (solved once and
+    passed on), anchor, then the requested propagations."""
     ts = cfg.resolve_ts()
     table = _build_table(cfg, ts)
-    g1, _ = evolve_single_time(table, cfg.system.initial_sz)
+    g1, g2 = evolve_single_time(table, cfg.system.initial_sz)
     t2 = _resolve_anchor(cfg, table, g1)
-    series = evolve_two_time(
-        table, cfg.system, mode=mode or cfg.run.mode, t2=t2
-    )
+    series = evolve_two_time(table, g1, g2, t2, mode=mode or cfg.run.mode)
     return table, series
 
 
@@ -159,7 +158,9 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
     Rate fits run on the regression series (the corrected propagation can
     trip the physicality guard at strong coupling with early anchors); the
     deltas and spectra use the corrected series when it is available and
-    otherwise leave NaN with the failure recorded in the status field.
+    otherwise leave NaN with the failure recorded in the status field.  The
+    corrected series starts from the regression run's background and
+    anchor, so the cell solves the single-time background once.
     """
     table, series = compute_series(cfg, mode="qrt")
     t1 = series.t1
@@ -178,7 +179,9 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
 
     y_corr = None
     try:
-        corrected = evolve_two_time(table, cfg.system, mode="qrt+", t2=series.t2)
+        corrected = evolve_two_time(
+            table, series.g1, series.g2, series.t2, mode="qrt+"
+        )
         y_corr = corrected.qrt_plus
     except IntegratorError as exc:
         out["status"] = f"qrt+ unavailable: {exc}"

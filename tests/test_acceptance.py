@@ -52,7 +52,8 @@ class TestA1NoNoiseReduction:
             float(np.max(np.abs(getattr(table, name))))
             for name in ("g12", "g22", "g52", "g62")
         )
-        series = ts.evolve_two_time(table, cfg.system, mode="both", t2=0.0)
+        g1, g2 = ts.evolve_single_time(table, cfg.system.initial_sz)
+        series = ts.evolve_two_time(table, g1, g2, 0.0, mode="both")
         worst_alpha = max(
             float(np.max(np.abs(series.qrt[:, [1, 3, 5]]))),
             float(np.max(np.abs(series.qrt_plus[:, [1, 3, 5]]))),
@@ -276,9 +277,16 @@ class TestA8NumericalHygiene:
         table = ts.build_single_time(ts_grid, cfg.bath, cfg.system, cfg.noise)
         i2 = int(round(2.0 / table.dt))
         t2 = float(table.ts[i2 + i2 % 2])
-        a = ts.evolve_two_time(table, cfg.system, mode="qrt+", t2=t2)
-        b = ts.evolve_two_time(table, cfg.system, mode="qrt+", t2=t2,
-                               rtol=5e-9, atol=5e-11)
+        # the halved tolerances reach the background solve too
+        a = ts.evolve_two_time(
+            table, *ts.evolve_single_time(table, cfg.system.initial_sz), t2,
+            mode="qrt+",
+        )
+        b = ts.evolve_two_time(
+            table,
+            *ts.evolve_single_time(table, cfg.system.initial_sz, 5e-9, 5e-11),
+            t2, mode="qrt+", rtol=5e-9, atol=5e-11,
+        )
         gap = float(np.max(np.abs(a.qrt_plus[:, 0].real - b.qrt_plus[:, 0].real)))
         assert verdict("A8b", gap < 1e-5,
                        f"tolerance-halving change in Re zz {gap:.2e}")

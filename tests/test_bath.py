@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from telespin.bath import (
     BathSpec,
-    bath_exponents,
     exponent_fn,
     reorganization_energy,
     reorganization_energy_quadrature,
@@ -108,27 +107,27 @@ class TestXiCoefficient:
     def test_matches_short_time_curvature_of_exact_q2(self):
         bath = BathSpec(2.0, 1.0, 0.5, 1.0)
         t = 1e-3
-        q2 = bath_exponents(t, bath, mode="exact").q2
+        _, (q2,) = exponent_fn(bath, "exact")(t)
         assert q2 / t**2 == pytest.approx(xi_coefficient(bath), rel=1e-3)
 
 
 class TestBathExponents:
     def test_zero_time(self):
         for mode in ("short-time", "exact"):
-            e = bath_exponents(0.0, STRONG, mode=mode)
-            assert e.q1 == 0.0 and e.q2 == 0.0
+            (q1,), (q2,) = exponent_fn(STRONG, mode)(np.array([0.0]))
+            assert q1 == 0.0 and q2 == 0.0
 
     def test_short_time_q1(self):
-        e = bath_exponents(0.1, BathSpec(2.0, 1.0, 0.5, 1.0))
-        assert e.q1 == pytest.approx(0.4, rel=1e-14)
+        q1, _ = exponent_fn(BathSpec(2.0, 1.0, 0.5, 1.0))(0.1)
+        assert q1 == pytest.approx(0.4, rel=1e-14)
 
     def test_exact_agrees_with_short_time_at_small_t(self):
         bath = BathSpec(2.0, 1.0, 0.5, 1.0)
-        for t in (0.01, 0.03, 0.05):
-            exact = bath_exponents(t, bath, mode="exact")
-            short = bath_exponents(t, bath, mode="short-time")
-            assert exact.q2 == pytest.approx(short.q2, rel=0.10)
-            assert exact.q1 == pytest.approx(short.q1, rel=0.10)
+        ts = np.array([0.01, 0.03, 0.05])
+        exact_q1, exact_q2 = exponent_fn(bath, "exact")(ts)
+        short_q1, short_q2 = exponent_fn(bath, "short-time")(ts)
+        assert exact_q2 == pytest.approx(short_q2, rel=0.10)
+        assert exact_q1 == pytest.approx(short_q1, rel=0.10)
 
     def test_q2_nondecreasing_short_time(self):
         f = exponent_fn(COLD, "short-time")
@@ -141,10 +140,6 @@ class TestBathExponents:
         ts = np.linspace(0.0, 6.0, 9)
         _, q2 = f(ts)
         assert np.all(np.diff(q2) >= -1e-12)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            bath_exponents(-0.1, STRONG)
 
 
 class TestBathSpecValidation:

@@ -215,6 +215,40 @@ class TestSweep:
         assert cell["k"] == pytest.approx(fit.k, rel=1e-12)
 
 
+class TestOneBackgroundSolve:
+    """A run solves the single-time background once and passes it on."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        import telespin.dynamics as dynamics
+        import telespin.runner as runner
+
+        calls = []
+        original = dynamics.evolve_single_time
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (dynamics, runner):
+            monkeypatch.setattr(module, "evolve_single_time", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["qrt", "qrt+", "both"])
+    def test_compute_series(self, cfg_file, solves, mode):
+        from telespin.runner import compute_series
+
+        compute_series(load_config(cfg_file), mode=mode)
+        assert len(solves) == 1
+
+    def test_sweep_cell(self, cfg_file, solves):
+        from telespin.runner import sweep_cell
+
+        cell = sweep_cell(load_config(cfg_file))
+        assert cell["status"] == "ok"
+        assert len(solves) == 1
+
+
 class TestValidateCommand:
     def test_small_validation_run(self, tmp_path):
         path = tmp_path / "v.cfg"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import telespin.dynamics
 from telespin.analysis import fit_exponential
 from telespin.bath import BathSpec
 from telespin.dynamics import (
+    ATOL,
+    RTOL,
     IntegratorError,
     SystemSpec,
     assemble_generator,
@@ -23,25 +26,35 @@ def node_near(table, t):
     i += i % 2
     return float(table.ts[i])
 
+
+def propagate(table, system, mode, t2=None, rtol=RTOL, atol=ATOL):
+    """Background solve, anchor (choose_t2 unless given), two-time solve;
+    the tolerances reach both solves."""
+    g1, g2 = evolve_single_time(table, system.initial_sz, rtol, atol)
+    if t2 is None:
+        t2 = choose_t2(table.ts, g1)
+    return evolve_two_time(table, g1, g2, t2, mode, rtol, atol)
+
+
 HOT = BathSpec(2.0, 1.0, 0.5, 0.02)
 COLD = BathSpec(2.0, 1.0, 0.5, 50.0)
 
 
 class TestEqualTimeInitials:
     def test_excited(self):
-        y = equal_time_initials(1.0, 0.0).y
+        y = equal_time_initials(1.0, 0.0)
         assert np.allclose(y, [1, 0, 1, 0, 0, 0])
 
     def test_mixed(self):
-        y = equal_time_initials(0.0, 0.0).y
+        y = equal_time_initials(0.0, 0.0)
         assert np.allclose(y, [1, 0, 0.5, 0, 0.5, 0])
 
     def test_linear(self):
-        y = equal_time_initials(0.4, -0.1).y
+        y = equal_time_initials(0.4, -0.1)
         assert np.allclose(y, [1, 0, 0.7, -0.05, 0.3, 0.05])
 
     def test_trace_identities(self):
-        y = equal_time_initials(0.23, 0.04).y
+        y = equal_time_initials(0.23, 0.04)
         assert y[2] + y[4] == pytest.approx(1.0, abs=1e-15)
         assert y[3] + y[5] == pytest.approx(0.0, abs=1e-15)
 
@@ -130,9 +143,9 @@ class TestEvolveTwoTime:
         system = SystemSpec(1.0, v=1.0)
         table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 8.0)
         t2 = node_near(table, 4.0)
-        series = evolve_two_time(table, system, mode="both", t2=t2)
+        series = propagate(table, system, "both", t2)
         i2 = int(round(t2 / table.dt))
-        expected = equal_time_initials(series.g1[i2], series.g2[i2]).y
+        expected = equal_time_initials(series.g1[i2], series.g2[i2])
         assert np.allclose(series.qrt[0], expected, atol=1e-14)
         assert np.allclose(series.qrt_plus[0], expected, atol=1e-14)
         assert series.qrt[0][2] + series.qrt[0][4] == pytest.approx(1.0, abs=1e-12)
@@ -141,27 +154,27 @@ class TestEvolveTwoTime:
     def test_no_tunneling_zz_constant(self):
         system = SystemSpec(1.0, v=0.0)
         table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 6.0)
-        series = evolve_two_time(table, system, mode="qrt", t2=node_near(table, 2.0))
+        series = propagate(table, system, "qrt", node_near(table, 2.0))
         # with V = 0 every kernel vanishes, so the zz row has no dynamics
         assert np.allclose(np.abs(series.qrt[:, 0]), 1.0, atol=1e-8)
 
     def test_no_tunneling_no_noise_coherence_modulus(self):
         system = SystemSpec(1.0, v=0.0)
         table = make_table(HOT, system, NoiseSpec(0.0, 1.0), 6.0)
-        series = evolve_two_time(table, system, mode="qrt", t2=node_near(table, 2.0))
+        series = propagate(table, system, "qrt", node_near(table, 2.0))
         assert np.allclose(np.abs(series.qrt[:, 2]), np.abs(series.qrt[0, 2]),
                            atol=1e-8)
 
     def test_zero_anchor_modes_identical(self):
         system = SystemSpec(1.0, v=1.0)
         table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 6.0)
-        series = evolve_two_time(table, system, mode="both", t2=0.0)
+        series = propagate(table, system, "both", 0.0)
         assert np.max(np.abs(series.qrt - series.qrt_plus)) < 1e-10
 
     def test_no_noise_alpha_components_stay_zero(self):
         system = SystemSpec(1.0, v=1.0)
         table = make_table(HOT, system, NoiseSpec(0.0, 1.0), 8.0)
-        series = evolve_two_time(table, system, mode="both")
+        series = propagate(table, system, "both")
         for y in (series.qrt, series.qrt_plus):
             assert np.max(np.abs(y[:, [1, 3, 5]])) < 1e-10
 
@@ -169,9 +182,8 @@ class TestEvolveTwoTime:
         system = SystemSpec(1.0, v=1.0)
         table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 8.0)
         t2 = node_near(table, 2.0)
-        a = evolve_two_time(table, system, mode="qrt+", t2=t2)
-        b = evolve_two_time(table, system, mode="qrt+", t2=t2,
-                            rtol=5e-9, atol=5e-11)
+        a = propagate(table, system, "qrt+", t2)
+        b = propagate(table, system, "qrt+", t2, rtol=5e-9, atol=5e-11)
         assert np.max(np.abs(a.qrt_plus[:, 0].real - b.qrt_plus[:, 0].real)) < 1e-5
 
     def test_exponential_shape_low_temperature(self):
@@ -179,21 +191,22 @@ class TestEvolveTwoTime:
         system = SystemSpec(0.0, v=1.0)
         noise = NoiseSpec(0.75, 0.01)
         table = make_table(COLD, system, noise, 40.0)
-        series = evolve_two_time(table, system, mode="qrt+")
+        series = propagate(table, system, "qrt+")
         y = series.qrt_plus[:, 0].real
         fit = fit_exponential(series.t1, y)
         rng = np.max(y) - np.min(y)
         assert fit.rms_residual < 0.02 * rng
 
-    def test_mutated_generator_detected(self):
+    def test_mutated_generator_detected(self, monkeypatch):
         system = SystemSpec(1.0, v=1.0)
         table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 8.0)
 
-        def flip_decay_sign(A, b):
-            A = A.copy()
+        def flip_decay_sign(*args):
+            A, b = assemble_generator(*args)
             A[0, 0] = -A[0, 0]  # growth instead of decay
             return A, b
 
+        monkeypatch.setattr(telespin.dynamics, "assemble_generator",
+                            flip_decay_sign)
         with pytest.raises(IntegratorError):
-            evolve_two_time(table, system, mode="qrt", t2=node_near(table, 2.0),
-                            mutate=flip_decay_sign)
+            propagate(table, system, "qrt", node_near(table, 2.0))

@@ -7,7 +7,6 @@ from telespin.dynamics import SystemSpec
 from telespin.kernels import (
     GridResolutionError,
     build_single_time,
-    elementary,
     resolution_bound,
 )
 from telespin.noise import NoiseSpec, propagators
@@ -31,26 +30,28 @@ def make_table(bath, system, noise, horizon, refine=1.0, **kw):
 
 
 class TestElementary:
+    """The bath integrands that build_single_time forms from exponent_fn."""
+
     def test_f_plus_at_zero(self):
-        f = exponent_fn(WARM)
-        assert elementary("f+", 0.0, f, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert elementary("cc", 0.0, f, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert elementary("ss", 0.0, f, 1.0) == pytest.approx(0.0, abs=1e-15)
+        q1, q2 = exponent_fn(WARM)(0.0)
+        env = np.exp(-q2)
+        assert env * np.exp(1j * q1) == pytest.approx(1.0, abs=1e-15)  # f+
+        assert env * np.cos(q1) == pytest.approx(1.0, abs=1e-15)       # cc
+        assert env * np.sin(q1) == pytest.approx(0.0, abs=1e-15)       # ss
 
     def test_ss_vanishes_without_bias(self):
-        f = exponent_fn(WARM)
-        ts = np.linspace(0.0, 5.0, 64)
-        assert np.allclose(elementary("ss", ts, f, 0.0), 0.0, atol=1e-15)
+        # g21 integrates the ss integrand, which carries sin(e0 t)
+        table = make_table(WARM, SystemSpec(0.0), NoiseSpec(0.75, 1.0), 5.0)
+        assert np.all(table.g21 == 0.0)
 
     def test_cc_value_from_frozen_xi(self):
-        xi = xi_coefficient(HOT)
-        f = exponent_fn(HOT)
-        expected = np.exp(-xi) * np.cos(4.0) * np.cos(1.0)
-        assert elementary("cc", 1.0, f, 1.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            elementary("xx", 0.0, exponent_fn(WARM), 1.0)
+        q1, q2 = exponent_fn(HOT)(1.0)
+        assert q1 == pytest.approx(reorganization_energy(HOT), rel=1e-15)
+        assert q2 == pytest.approx(xi_coefficient(HOT), rel=1e-12)
+        expected = np.exp(-xi_coefficient(HOT)) * np.cos(4.0) * np.cos(1.0)
+        assert np.exp(-q2) * np.cos(q1) * np.cos(1.0) == pytest.approx(
+            expected, rel=1e-12
+        )
 
 
 class TestSingleTimeKernels:
@@ -109,14 +110,15 @@ class TestTwoTimeKernels:
         self.table = make_table(WARM, self.system, self.noise, 6.0)
 
     def test_zero_anchor(self):
-        assert self.table.two_time(3, 1, 1.0, 0.0) == 0j
+        assert self.table.two_time_pair(1.0, 0.0) == (0j, 0j, 0j, 0j)
 
     def test_no_noise_kills_s1_families(self):
         table = make_table(WARM, self.system, NoiseSpec(0.0, 1.0), 6.0)
         t2 = table.ts[len(table.ts) // 2]
         for t1 in (t2, t2 + 0.3, t2 + 1.1):
-            assert abs(table.two_time(3, 2, t1, t2)) < 1e-14
-            assert abs(table.two_time(4, 2, t1, t2)) < 1e-14
+            _, g32, _, g42 = table.two_time_pair(t1, t2)
+            assert abs(g32) < 1e-14
+            assert abs(g42) < 1e-14
 
     def test_against_adaptive_quadrature(self):
         # sharp tolerance requires a grid well below the resolution guard
@@ -140,7 +142,7 @@ class TestTwoTimeKernels:
             for j in (1, 2):
                 re, _ = quad(integrand, 0.0, t2, args=(t1, j, "re"), limit=300)
                 im, _ = quad(integrand, 0.0, t2, args=(t1, j, "im"), limit=300)
-                got = table.two_time(3, j, t1, t2)
+                got = table.two_time_pair(t1, t2)[j - 1]  # G3j
                 assert got.real == pytest.approx(re, rel=2e-6, abs=1e-6 * scale)
                 assert got.imag == pytest.approx(im, rel=2e-6, abs=1e-6 * scale)
 
@@ -160,17 +162,12 @@ class TestTwoTimeKernels:
         i2 = (len(ts) // 3 // 2) * 2
         t2 = float(ts[i2])
         for t1 in (t2, t2 + 0.5):
-            g31 = table.two_time(3, 1, t1, t2)
-            g41 = table.two_time(4, 1, t1, t2)
+            g31, _, g41, _ = table.two_time_pair(t1, t2)
             assert g41 == pytest.approx(np.conj(g31), abs=1e-12)
 
     def test_time_order_enforced(self):
         with pytest.raises(ValueError):
-            self.table.two_time(3, 1, 1.0, 2.0)
-
-    def test_index_domain(self):
-        with pytest.raises(ValueError):
-            self.table.two_time(5, 1, 2.0, 1.0)
+            self.table.two_time_pair(1.0, 2.0)
 
 
 def test_resolution_bound_scales():

@@ -3,7 +3,8 @@ import pytest
 from scipy.fft import next_fast_len
 
 from telespin.bath import BathSpec, exponent_fn, xi_coefficient
-from telespin.dynamics import SystemSpec, evolve_two_time
+import telespin.dynamics
+from telespin.dynamics import SystemSpec, assemble_generator
 from telespin.kernels import build_single_time, resolution_bound
 from telespin.noise import NoisePath, NoiseSpec, propagators, sample_path
 from telespin.oracle import (
@@ -21,6 +22,7 @@ from telespin.oracle import (
     standardized_deviation,
 )
 
+from test_dynamics import propagate
 from test_kernels import make_grid
 
 HOT = BathSpec(2.0, 1.0, 0.5, 0.02)
@@ -289,7 +291,7 @@ class TestEvolveTrajectory:
                                     mode="qrt")
             quiet = NoiseSpec(0.0, 1e-9)
             table = build_single_time(ts, WARM, shifted, quiet)
-            series = evolve_two_time(table, shifted, mode="qrt", t2=t2)
+            series = propagate(table, shifted, "qrt", t2)
             sub = series.qrt[::2]
             assert np.max(np.abs(run.zz - sub[:, 0])) < 1e-6
             assert np.max(np.abs(run.pm - sub[:, 2])) < 1e-6
@@ -310,7 +312,7 @@ class TestMonteCarlo:
         assert np.allclose(mc["zz"].mean, single.zz, atol=1e-12, rtol=0)
         assert np.max(mc["zz"].se_re) < 1e-7
         table = build_single_time(ts, HOT, system, noise)
-        series = evolve_two_time(table, system, mode="qrt+", t2=t2)
+        series = propagate(table, system, "qrt+", t2)
         dev = standardized_deviation(mc["zz"], series.qrt_plus[::2, 0])
         assert np.max(dev) < 3.0
 
@@ -337,6 +339,27 @@ class TestMonteCarlo:
                  / np.median(large["pm"].se_re[10:]))
         assert ratio == pytest.approx(2.0, rel=0.2)
 
+    def test_standard_error_matches_two_pass_std(self):
+        # near the anchor zz spreads by ~1e-6 about a mean near 1, where a
+        # one-pass sum-of-squares variance cancels; the block merge must
+        # agree with a two-pass std over the same paths run one at a time
+        system = SystemSpec(1.0, v=1.0)
+        noise = NoiseSpec(0.75, 1.0, seed=7)
+        ts = make_grid(HOT, system, noise, 3.0)
+        t2 = even_anchor(ts, 1.5)
+        n = 2 * BLOCK
+        mc = monte_carlo(ts, t2, system, HOT, noise, n)
+        runs = [evolve_trajectory(sample_path(noise, float(ts[-1]), p), ts, t2,
+                                  system, HOT, noise) for p in range(n)]
+        for key in ("sz", "zz", "pm", "mp"):
+            per_path = np.array([getattr(r, key) for r in runs]).real
+            ref = per_path.std(axis=0, ddof=1) / np.sqrt(n)
+            se = mc[key].se_re
+            big = se > 1e-7
+            assert big.any()
+            np.testing.assert_allclose(se[big], ref[big], rtol=1e-10, atol=0,
+                                       err_msg=key)
+
     def test_minimum_ensemble(self):
         system = SystemSpec(1.0, v=1.0)
         noise = NoiseSpec(0.75, 1.0, seed=13)
@@ -352,13 +375,13 @@ class TestMonteCarlo:
         t2 = even_anchor(ts, 3.0)
         mc = monte_carlo(ts, t2, system, HOT, noise, 2000)
         table = build_single_time(ts, HOT, system, noise)
-        series = evolve_two_time(table, system, mode="qrt+", t2=t2)
+        series = propagate(table, system, "qrt+", t2)
         dev = standardized_deviation(mc["sz"], series.g1[::2])
         assert np.max(dev) < 3.0
 
 
 class TestMutationCheck:
-    def test_corrupted_generator_fails_validation(self):
+    def test_corrupted_generator_fails_validation(self, monkeypatch):
         # flipping the coherence rotation sign is stable but wrong; the
         # ensemble comparison must flag it
         system = SystemSpec(1.0, v=1.0)
@@ -367,14 +390,15 @@ class TestMutationCheck:
         t2 = even_anchor(ts, 2.0)
         table = build_single_time(ts, HOT, system, noise)
 
-        def flip_rotation(A, b):
-            A = A.copy()
+        def flip_rotation(*args):
+            A, b = assemble_generator(*args)
             A[2, 2] = np.conj(A[2, 2])  # i e0 -> -i e0 on <s+ s->
             return A, b
 
-        good = evolve_two_time(table, system, mode="qrt+", t2=t2)
-        bad = evolve_two_time(table, system, mode="qrt+", t2=t2,
-                              mutate=flip_rotation)
+        good = propagate(table, system, "qrt+", t2)
+        monkeypatch.setattr(telespin.dynamics, "assemble_generator",
+                            flip_rotation)
+        bad = propagate(table, system, "qrt+", t2)
         mc = monte_carlo(ts, t2, system, HOT, noise, 400)
         dev_good = standardized_deviation(mc["pm"], good.qrt_plus[::2, 2])
         dev_bad = standardized_deviation(mc["pm"], bad.qrt_plus[::2, 2])
