@@ -1,6 +1,6 @@
 """Noise-averaged memory kernels on a uniform time grid.
 
-Ten single-time kernels are cumulative integrals of an elementary bath
+Ten single-time kernels are cumulative integrals of a bath
 integrand times a dichotomous-noise propagator,
 
     G_{i,1}(t) = pre_i \\int_0^t E_i(u) S0(u) du,
