@@ -132,7 +132,13 @@ def detect_peaks(spectrum: SpectrumResult, prominence_frac: float = 0.05):
     top = float(np.max(s)) if len(s) else 0.0
     if top <= 0.0:
         return []
-    idx, props = find_peaks(s, prominence=prominence_frac * top)
+    # a peak of prominence >= threshold stands at least that far above the
+    # global minimum (half of it is cut, leaving room for rounding), and
+    # find_peaks applies the height cut before it computes prominences, so
+    # truncation-ripple maxima near the floor cost nothing
+    threshold = prominence_frac * top
+    idx, props = find_peaks(s, height=float(np.min(s)) + 0.5 * threshold,
+                            prominence=threshold)
     peaks = []
     dw = spectrum.bin_width
     for i, prom in zip(idx, props["prominences"]):

@@ -96,8 +96,7 @@ def _path_node_arrays(paths, ts):
     signs = np.empty((b, n))
     cum = np.empty((b, n))
     for i, p in enumerate(paths):
-        signs[i] = p.signs_at(ts)
-        cum[i] = p.cumulative(ts)
+        signs[i], cum[i] = p.signs_and_cumulative(ts)
     return signs, cum
 
 

@@ -1,15 +1,19 @@
 """Experiment drivers behind the CLI subcommands.
 
 Every run writes CSV results plus a resolved_config.json snapshot; sweep
-cells run in a worker pool but are emitted in lexicographic grid order, and
-nothing in the output depends on the worker count.
+cells run in a worker pool, each on one BLAS thread, but are emitted in
+lexicographic grid order, and nothing in the output depends on the worker
+count.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -209,10 +213,59 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _openblas_thread_controls():
+    """(get, set) thread-count functions of every loaded OpenBLAS library.
+
+    numpy and scipy each bundle their own copy, with or without a
+    ``scipy_`` symbol prefix and a ``64_`` suffix; found through the
+    process's memory map, so it is empty where there is none (non-Linux).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip()
+                     for line in maps if "openblas" in line}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in product(("scipy_", ""), ("64_", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return controls
+
+
+@contextmanager
+def _single_blas_thread():
+    """Run the body with every OpenBLAS at one thread, then restore."""
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(controls, saved):
+            put(n)
+
+
 def _cell_task(args):
+    """One sweep cell on single-threaded BLAS, so concurrent workers do not
+    oversubscribe the cores and the fitted numbers (a threaded dot sums in
+    another order) depend on neither the worker count nor the caller's
+    BLAS setting."""
     i, j, cfg = args
     try:
-        return i, j, sweep_cell(cfg)
+        with _single_blas_thread():
+            return i, j, sweep_cell(cfg)
     except Exception as exc:  # recorded in-row, never dropped
         return i, j, {"status": f"failed: {type(exc).__name__}: {exc}"}
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks
 
 from telespin.analysis import (
+    SpectrumResult,
     delta_measure,
     detect_peaks,
     fit_damped_cosines,
@@ -86,6 +88,35 @@ class TestDetectPeaks:
         spec = power_spectrum(tau, a + 0.02 * b, window="none")
         assert len(detect_peaks(spec, prominence_frac=0.05)) == 1
         assert len(detect_peaks(spec, prominence_frac=0.005)) == 2
+
+    @pytest.mark.filterwarnings("ignore:correlator magnitude at the horizon")
+    @pytest.mark.parametrize("frac", [0.05, 0.01, 0.002, 0.0005])
+    def test_ripple_heavy_spectrum_matches_plain_prominence_search(self, frac):
+        # a line that has not decayed by the horizon: truncation ripple puts
+        # ~10^4 local maxima into the spectrum, some of them above threshold
+        tau, a = lorentzian_series(0.6, 0.002, horizon=200.0)
+        _, b = lorentzian_series(1.6, 0.01, horizon=200.0)
+        spec = power_spectrum(tau, a + 0.1 * b, window="none")
+        s = spec.power
+        assert len(find_peaks(s)[0]) > 5000
+        idx, props = find_peaks(s, prominence=frac * np.max(s))
+        peaks = detect_peaks(spec, prominence_frac=frac)
+        assert [p.power for p in peaks] == s[idx].tolist()
+        assert [p.prominence for p in peaks] == props["prominences"].tolist()
+
+    def test_peak_just_above_threshold_from_the_floor(self):
+        # the height cut must keep a line whose prominence over the global
+        # minimum barely exceeds the threshold
+        omega = np.linspace(-5.0, 5.0, 20001)
+        power = (1.0 / (1.0 + ((omega - 1.0) / 0.05) ** 2)
+                 + 0.052 / (1.0 + ((omega + 2.0) / 0.05) ** 2)
+                 + 1e-3 * np.cos(300.0 * omega))
+        spec = SpectrumResult(freq_grid=omega, power=power, window="none")
+        idx, props = find_peaks(power, prominence=0.05 * np.max(power))
+        peaks = detect_peaks(spec, prominence_frac=0.05)
+        assert len(peaks) == 2
+        assert [p.power for p in peaks] == power[idx].tolist()
+        assert [p.prominence for p in peaks] == props["prominences"].tolist()
 
 
 class TestFitExponential:

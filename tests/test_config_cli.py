@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +102,66 @@ class TestCsvIo:
         assert back["v"][0] == value
 
 
+def _per_value_csv(columns, metadata):
+    """The per-value CSV formatter that write_csv's row formats replace."""
+
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return "%.17g" % value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return str(value)
+
+    arrays = [np.asarray(columns[k]) for k in columns]
+    lines = [f"# {k} = {json.dumps(v)}" for k, v in metadata.items()]
+    lines.append(",".join(columns))
+    for i in range(len(arrays[0])):
+        lines.append(",".join(fmt(a[i]) for a in arrays))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestCsvBytes:
+    """write_csv formats whole rows at once; the bytes stay those of the
+    per-value formatter."""
+
+    COLUMNS = {
+        "float": np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1 / 3, 5e-324]),
+        "float32": np.array([0.1, -0.0, np.nan, 1e30, 2.5, 3.0, -1.5], dtype=np.float32),
+        "int": np.array([0, -1, 7, 2**62, -(2**40), 3, 12]),
+        "uint": np.arange(7, dtype=np.uint8),
+        "bool": np.array([True, False, True, True, False, False, True]),
+        "str": np.array(["qrt", "qrt+", "ok", "x, y", "100%", "", "nan"], dtype=object),
+        "mixed": np.array([1.5, 2, "qrt+ unavailable: |Y1| = 1.3", np.float64(-0.0),
+                           np.int64(4), None, np.nan], dtype=object),
+        "list": [0.25, 1, 2.0, float("nan"), -3, 1e-17, 7],
+    }
+
+    def test_row_formats_match_per_value_formatter(self, tmp_path):
+        meta = {"seed": 3, "label": "demo"}
+        write_csv(tmp_path / "x.csv", self.COLUMNS, meta)
+        assert (tmp_path / "x.csv").read_bytes() == _per_value_csv(self.COLUMNS, meta)
+
+    @pytest.mark.parametrize("name", sorted(COLUMNS))
+    def test_single_column(self, tmp_path, name):
+        cols = {name: self.COLUMNS[name]}
+        write_csv(tmp_path / "x.csv", cols)
+        assert (tmp_path / "x.csv").read_bytes() == _per_value_csv(cols, {})
+
+    def test_rows_across_writes(self, tmp_path):
+        from telespin.csvio import ROWS_PER_WRITE
+
+        n = 2 * ROWS_PER_WRITE + 3
+        cols = {"t": np.linspace(0.0, 1.0, n), "k": np.arange(n),
+                "mode": np.full(n, "qrt+", dtype=object)}
+        write_csv(tmp_path / "x.csv", cols)
+        assert (tmp_path / "x.csv").read_bytes() == _per_value_csv(cols, {})
+
+    def test_no_rows(self, tmp_path):
+        cols = {"t": np.array([]), "mode": np.array([], dtype=object)}
+        write_csv(tmp_path / "x.csv", cols, {"file": "empty"})
+        assert (tmp_path / "x.csv").read_bytes() == _per_value_csv(cols, {"file": "empty"})
+
+
 class TestCli:
     def test_dynamics_outputs(self, cfg_file, tmp_path):
         out = tmp_path / "out"
@@ -197,6 +260,64 @@ class TestSweep:
             l for l in b.splitlines() if not l.startswith(b"# run.workers")
         )
         assert strip(body1) == strip(body2)
+
+    def test_hot_sweep_independent_of_workers_and_blas_threads(self, tmp_path):
+        # at the hot size (~15 000 fitted samples per cell) OpenBLAS
+        # threads the fits' dot products, and a threaded dot sums in
+        # another order; cells run single-threaded, so neither the pool
+        # nor the caller's OPENBLAS_NUM_THREADS moves a digit
+        import telespin
+
+        hot = BASE_CFG.replace("grid.horizon = 6.0\ngrid.t2 = 2.0\n",
+                               'grid.horizon = 40.0\ngrid.t2 = "auto"\n')
+        assert "grid.horizon = 40.0" in hot
+        path = tmp_path / "hot.cfg"
+        path.write_text(hot + "sweep.nu = [0.1]\nsweep.omega_n = [0.75, 2.0]\n")
+        pooled, serial = tmp_path / "w2", tmp_path / "w1"
+        assert main(["sweep", "--config", str(path), "--out", str(pooled),
+                     "--workers", "2"]) == 0
+        src = Path(telespin.__file__).parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+        subprocess.run(
+            [sys.executable, "-m", "telespin.cli", "sweep", "--config",
+             str(path), "--out", str(serial), "--workers", "1"],
+            env=env, check=True, capture_output=True,
+        )
+        strip = lambda b: [l for l in b.splitlines() if not l.startswith(b"# run.workers")]
+        assert strip((pooled / "sweep.csv").read_bytes()) == strip(
+            (serial / "sweep.csv").read_bytes())
+
+    def test_cells_run_on_one_blas_thread_and_restore(self, tmp_path, monkeypatch):
+        import telespin.runner as runner
+
+        maps = Path("/proc/self/maps")
+        if not maps.exists() or "openblas" not in maps.read_text():
+            pytest.skip("no OpenBLAS library loaded")
+        controls = runner._openblas_thread_controls()
+        assert controls
+        counts = lambda: [get() for get, _ in controls]
+        seen = []
+        original = runner.sweep_cell
+
+        def recording(cfg):
+            seen.append(counts())
+            return original(cfg)
+
+        monkeypatch.setattr(runner, "sweep_cell", recording)
+        path = tmp_path / "s.cfg"
+        path.write_text(BASE_CFG + "sweep.nu = [1.0]\nsweep.omega_n = [0.5, 1.0]\n")
+        saved = counts()
+        try:
+            for _, put in controls:
+                put(2)
+            assert main(["sweep", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--workers", "1"]) == 0
+            after = counts()
+        finally:
+            for (_, put), n in zip(controls, saved):
+                put(n)
+        assert seen == [[1] * len(controls)] * 2
+        assert after == [2] * len(controls)
 
     def test_single_cell_matches_dynamics_pipeline(self, tmp_path):
         # 1x1 sweep equals the dynamics+analysis pipeline on the same config
