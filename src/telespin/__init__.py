@@ -37,7 +37,6 @@ from .oracle import (
     MCEstimate,
     TrajectoryRun,
     evolve_trajectory,
-    gamma_along_path,
     monte_carlo,
     standardized_deviation,
 )

@@ -13,12 +13,16 @@ orientations are fixed by requiring the dichotomous-noise average to
 reproduce the noise-averaged generator, which the validation suite checks
 against closed-form propagator moments and the averaged dynamics.
 
-Per-path kernel series are convolutions of the path-static sequence
-exp(-i Omega W[j]) (W = cumulative noise integral) against fixed kernel
-sequences, so a whole block of paths is processed with batched FFTs in
-O(N log N) per path.  All trapezoid sums live on the same grid as the
-noise-averaged kernel tables, so discretization bias is common mode in
-oracle-versus-averaged comparisons.
+Per-path single-time kernel series are lag sums of fixed kernel sequences
+against e^{i Omega (W[i] - W[i-m])} (W = cumulative noise integral) over the
+kernel support of m_cut nodes.  A telegraph path is piecewise constant, so
+W is linear between flips and the lags inside one segment sum to a prefix
+sum of the kernel sequence, tabulated once per block: a node's own segment
+is one lookup, and every flip within m_cut nodes before it adds a
+correction.  A block of b paths costs O(b (N + flips m_cut)), with the
+corrections accumulated per node.  All trapezoid sums live on the same grid
+as the noise-averaged kernel tables, so discretization bias is common mode
+in oracle-versus-averaged comparisons.
 
 Time stepping is RK4 with step 2 dt and stages on the grid nodes.  The
 per-path equations are linear, so one step of a scalar equation
@@ -36,10 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
-from .bath import Q2_SUPPORT_CUT, exponent_fn, xi_coefficient
-from .kernels import resolution_bound
+from .bath import Q2_SUPPORT_CUT, exponent_fn
 from .noise import NoisePath, NoiseSpec, sample_path
 
 #: paths per reduction block; fixed so results never depend on scheduling
@@ -75,11 +77,13 @@ class TrajectoryRun:
 
 def _kernel_sequences(ts, exponents, epsilon0):
     """Fixed sequences K_c e^{i e0 u}, K_s e^{i e0 u}, E_f+- on the grid,
-    truncated where e^{-Q2} is numerically dead."""
+    truncated where e^{-Q2} is numerically dead.  Both kernel engines sum
+    lags up to m_cut only, so every sequence is zero past it."""
     q1, q2 = exponents(ts)
     alive = q2 < Q2_SUPPORT_CUT
     m_cut = int(np.argmin(alive)) if not alive.all() else len(ts) - 1
     m_cut = max(m_cut, 1)
+    alive[m_cut + 1:] = False
     env = np.exp(-np.minimum(q2, 700.0))
     rot = np.exp(1j * epsilon0 * ts)
     a_c = np.where(alive, env * np.cos(q1), 0.0) * rot
@@ -100,19 +104,64 @@ def _path_node_arrays(paths, ts):
     return signs, cum
 
 
-def _single_time_kernels(ts, cum, a_c, a_s, omega_n, fft_len):
+def _block_flips(paths, ts):
+    """Flips of a block on the grid, in path order: path index, first node
+    at or after the flip, flip time, W there and the sign after it."""
+    cols = [(np.full(p.flip_times.size, k), p.flip_times,
+             p.cumulative(p.flip_times),
+             -p.initial_sign * (-1.0) ** np.arange(p.flip_times.size))
+            for k, p in enumerate(paths)]
+    path, tau, w_tau, s_new = (np.concatenate(c) for c in zip(*cols))
+    first = np.searchsorted(ts, tau, side="left")
+    keep = first < len(ts)
+    return path[keep], first[keep], tau[keep], w_tau[keep], s_new[keep]
+
+
+def _single_time_kernels(ts, paths, signs, cum, a_c, a_s, omega_n, m_cut):
     """Z_c, Z_s with trapezoid weights; the per-path kernels follow as
-    G1 = 4 V^2 Re Z_c, G2 = 4 V^2 Im Z_s, G5 = 2 V^2 conj(Z_c)."""
+    G1 = 4 V^2 Re Z_c, G2 = 4 V^2 Im Z_s, G5 = 2 V^2 conj(Z_c).
+
+    Z_i = h sum_{m <= M_i} a[m] e^{i Omega (W_i - W_{i-m})} less the
+    trapezoid end terms, M_i = min(i, m_cut).  With the prefix sums
+    P_s[m] = h sum_{m' <= m} a[m'] e^{i Omega s t_m'}, the lags in the
+    segment of node i (sign s) sum to P_s[M_i].  A flip whose first node at
+    or after it lies l <= m_cut - 1 nodes before node i adds
+    e^{i Omega (W_i - W_{i-m} - s t_m)} (P_s[M_i] - P_s[l]) for the segment
+    before it and subtracts the same for the segment after it; the terms
+    telescope into the sum over the segments in the window."""
+    b, n = cum.shape
     h = ts[1] - ts[0]
-    q = np.exp(-1j * omega_n * cum)
-    fq = np.fft.fft(q, n=fft_len, axis=1)
-    n = len(ts)
+    width = m_cut + 1
+    window = np.minimum(np.arange(n), m_cut)
+    path, first, tau, w_tau, s_new = _block_flips(paths, ts)
+    nodes = first[:, None] + np.arange(m_cut)
+    past_end = nodes >= n
+    nodes[past_end] = n - 1
+    rel_w = cum[path[:, None], nodes] - w_tau[:, None]
+    rel_t = (ts[nodes] - tau[:, None]) * s_new[:, None]
+    phase_old = np.exp(1j * omega_n * (rel_w + rel_t))
+    phase_new = np.exp(1j * omega_n * (rel_w - rel_t))
+    phase_old[past_end] = phase_new[past_end] = 0.0
+    flat = (path[:, None] * n + nodes).ravel()
+    # row 0 of the prefix-sum table is s = +1, row 1 is s = -1
+    row_new = (s_new < 0).astype(np.intp)
+    row_old = 1 - row_new
+    lag_cap = window[nodes]
+    at_new = row_new[:, None] * width + lag_cap
+    at_old = row_old[:, None] * width + lag_cap
+    rot = np.exp(1j * omega_n * np.outer([1.0, -1.0], ts[:width]))
+    own = (signs < 0) * n + np.arange(n)
+    end = np.exp(1j * omega_n * cum[:, :width])
 
     def z_of(a):
-        fa = np.fft.fft(a, n=fft_len)
-        conv = np.fft.ifft(fq * fa[None, :], axis=1)[:, :n]
-        corr = 0.5 * (a[0] * q + a[None, :n] * q[:, :1])
-        return np.exp(1j * omega_n * cum) * h * (conv - corr)
+        pre = h * np.cumsum(a[:width] * rot, axis=1)
+        span_old = pre.take(at_old) - pre[row_old, :m_cut]
+        span_new = pre.take(at_new) - pre[row_new, :m_cut]
+        z = (pre[:, window] - 0.5 * h * a[0]).take(own)
+        z[:, :width] -= 0.5 * h * a[:width] * end
+        np.add.at(z.reshape(-1), flat,
+                  (phase_old * span_old - phase_new * span_new).ravel())
+        return z
 
     return z_of(a_c), z_of(a_s)
 
@@ -267,9 +316,10 @@ def _run_two_time(ts, i2, signs, gam1, gam2, gam5, g3, g4, epsilon0,
 def _evolve_block(paths, ts, i2, seqs, system, noise, mode):
     a_c, a_s, d_p, d_m, m_cut = seqs
     v2 = system.v * system.v
-    fft_len = next_fast_len(len(ts) + m_cut + 1)
     signs, cum = _path_node_arrays(paths, ts)
-    z_c, z_s = _single_time_kernels(ts, cum, a_c, a_s, noise.omega_n, fft_len)
+    z_c, z_s = _single_time_kernels(
+        ts, paths, signs, cum, a_c, a_s, noise.omega_n, m_cut
+    )
     gam1 = 4.0 * v2 * z_c.real
     gam2 = 4.0 * v2 * z_s.imag
     gam5 = 2.0 * v2 * np.conj(z_c)
@@ -415,57 +465,3 @@ def standardized_deviation(estimate: MCEstimate, exact, se_floor=1e-7):
     exact = np.asarray(exact)
     se = np.maximum(estimate.se_re, se_floor)
     return np.abs(estimate.mean.real - exact.real) / se
-
-
-def gamma_along_path(i, times, path, bath, system, noise, dt=None,
-                     exponents=None):
-    """Reference (slow, explicit) per-path kernel evaluation.
-
-    i in 1..5 selects the kernel family; ``times`` is t for the single-time
-    families and (t1, t2) for i in {3, 4}.  Used to validate the vectorized
-    block engine.
-    """
-    if exponents is None:
-        exponents = exponent_fn(bath, "short-time")
-    if dt is None:
-        dt = resolution_bound(
-            xi_coefficient(bath), system.epsilon0, noise.omega_n, noise.nu
-        )
-    v2 = system.v * system.v
-    e0 = system.epsilon0
-    om = noise.omega_n
-    if i in (1, 2, 5):
-        t = float(times)
-        if t == 0.0:
-            return 0j
-        n = max(2, int(round(t / dt)))
-        taus = np.linspace(0.0, t, n + 1)
-        u = t - taus
-        q1, q2 = exponents(u)
-        w = path.cumulative(t) - path.cumulative(taus)
-        f = e0 * u + om * w
-        env = np.exp(-q2)
-        if i == 1:
-            return complex(4.0 * v2 * np.trapezoid(env * np.cos(q1) * np.cos(f), taus))
-        if i == 2:
-            return complex(4.0 * v2 * np.trapezoid(env * np.sin(q1) * np.sin(f), taus))
-        return complex(2.0 * v2 * np.trapezoid(env * np.cos(q1) * np.exp(-1j * f), taus))
-    if i in (3, 4):
-        t1, t2 = (float(times[0]), float(times[1]))
-        if t1 < t2:
-            raise ValueError("two-time kernel requires t1 >= t2")
-        if t2 == 0.0:
-            return 0j
-        n = max(2, int(round(t2 / dt)))
-        taus = np.linspace(0.0, t2, n + 1)
-        q1, q2 = exponents(t1 - taus)
-        w = path.cumulative(t2) - path.cumulative(taus)
-        f2 = e0 * (t2 - taus) + om * w
-        sign = 1.0 if i == 3 else -1.0
-        # deterministic e0 phase on (t1 - tau), oriented fluctuating phase
-        # f2 = f(t2, tau) on the anchor window; Q1 phase is never conjugated
-        core = (np.exp(-q2 + 1j * q1)
-                * np.exp(1j * sign * e0 * (t1 - taus))
-                * np.exp(1j * sign * f2))
-        return complex(v2 * np.trapezoid(core, taus))
-    raise ValueError("kernel family index must be in 1..5")

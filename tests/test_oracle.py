@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.fft import next_fast_len
 
-from telespin.bath import BathSpec, exponent_fn, xi_coefficient
+from telespin.bath import Q2_SUPPORT_CUT, BathSpec, exponent_fn, xi_coefficient
 import telespin.dynamics
 from telespin.dynamics import SystemSpec, assemble_generator
 from telespin.kernels import build_single_time, resolution_bound
@@ -10,6 +9,7 @@ from telespin.noise import NoisePath, NoiseSpec, propagators, sample_path
 from telespin.oracle import (
     BLOCK,
     MAP_CHUNK,
+    _evolve_block,
     _kernel_sequences,
     _path_node_arrays,
     _run_sigma_z,
@@ -17,7 +17,6 @@ from telespin.oracle import (
     _single_time_kernels,
     _two_time_kernels,
     evolve_trajectory,
-    gamma_along_path,
     monte_carlo,
     standardized_deviation,
 )
@@ -27,6 +26,61 @@ from test_kernels import make_grid
 
 HOT = BathSpec(2.0, 1.0, 0.5, 0.02)
 WARM = BathSpec(2.0, 1.0, 0.5, 1.0)
+COLD = BathSpec(2.0, 1.0, 0.5, 50.0)
+
+
+def gamma_along_path(i, times, path, bath, system, noise, dt=None,
+                     exponents=None):
+    """Reference (slow, explicit) per-path kernel evaluation.
+
+    i in 1..5 selects the kernel family; ``times`` is t for the single-time
+    families and (t1, t2) for i in {3, 4}.  The block engine is checked
+    against it.
+    """
+    if exponents is None:
+        exponents = exponent_fn(bath, "short-time")
+    if dt is None:
+        dt = resolution_bound(
+            xi_coefficient(bath), system.epsilon0, noise.omega_n, noise.nu
+        )
+    v2 = system.v * system.v
+    e0 = system.epsilon0
+    om = noise.omega_n
+    if i in (1, 2, 5):
+        t = float(times)
+        if t == 0.0:
+            return 0j
+        n = max(2, int(round(t / dt)))
+        taus = np.linspace(0.0, t, n + 1)
+        u = t - taus
+        q1, q2 = exponents(u)
+        w = path.cumulative(t) - path.cumulative(taus)
+        f = e0 * u + om * w
+        env = np.exp(-q2)
+        if i == 1:
+            return complex(4.0 * v2 * np.trapezoid(env * np.cos(q1) * np.cos(f), taus))
+        if i == 2:
+            return complex(4.0 * v2 * np.trapezoid(env * np.sin(q1) * np.sin(f), taus))
+        return complex(2.0 * v2 * np.trapezoid(env * np.cos(q1) * np.exp(-1j * f), taus))
+    if i in (3, 4):
+        t1, t2 = (float(times[0]), float(times[1]))
+        if t1 < t2:
+            raise ValueError("two-time kernel requires t1 >= t2")
+        if t2 == 0.0:
+            return 0j
+        n = max(2, int(round(t2 / dt)))
+        taus = np.linspace(0.0, t2, n + 1)
+        q1, q2 = exponents(t1 - taus)
+        w = path.cumulative(t2) - path.cumulative(taus)
+        f2 = e0 * (t2 - taus) + om * w
+        sign = 1.0 if i == 3 else -1.0
+        # deterministic e0 phase on (t1 - tau), oriented fluctuating phase
+        # f2 = f(t2, tau) on the anchor window; Q1 phase is never conjugated
+        core = (np.exp(-q2 + 1j * q1)
+                * np.exp(1j * sign * e0 * (t1 - taus))
+                * np.exp(1j * sign * f2))
+        return complex(v2 * np.trapezoid(core, taus))
+    raise ValueError("kernel family index must be in 1..5")
 
 
 def even_anchor(ts, t):
@@ -36,7 +90,7 @@ def even_anchor(ts, t):
 
 
 class TestBlockEngineAgainstReference:
-    """The FFT block engine must reproduce the explicit kernel integrals."""
+    """The block engine must reproduce the explicit kernel integrals."""
 
     def setup_method(self):
         self.system = SystemSpec(1.0, v=1.0)
@@ -49,10 +103,9 @@ class TestBlockEngineAgainstReference:
 
     def test_single_time_families(self):
         signs, cum = _path_node_arrays([self.path], self.ts)
-        fft_len = next_fast_len(len(self.ts) + self.seqs[4] + 1)
         z_c, z_s = _single_time_kernels(
-            self.ts, cum, self.seqs[0], self.seqs[1], self.noise.omega_n,
-            fft_len,
+            self.ts, [self.path], signs, cum, self.seqs[0], self.seqs[1],
+            self.noise.omega_n, self.seqs[4],
         )
         for t in (0.5, 2.0, 7.5):
             i = int(round(t / self.h))
@@ -83,6 +136,128 @@ class TestBlockEngineAgainstReference:
                                     self.noise, dt=self.h)
             assert g3[0, off] == pytest.approx(ref3, abs=1e-12)
             assert g4[0, off] == pytest.approx(ref4, abs=1e-12)
+
+
+def lag_sum(ts, path, a, omega_n, m_cut):
+    """Z_i = h sum_{m <= min(i, m_cut)} a[m] e^{i Omega (W_i - W_{i-m})}
+    with trapezoid halves at m = 0 and at t = 0, summed lag by lag."""
+    h = ts[1] - ts[0]
+    w = path.cumulative(ts)
+    m = np.arange(m_cut + 1)
+    j = np.arange(len(ts))[:, None] - m
+    weight = np.where(j >= 0, h, 0.0)
+    weight[:, 0] -= 0.5 * h
+    weight[j == 0] -= 0.5 * h
+    phase = np.exp(1j * omega_n * (w[:, None] - w[np.maximum(j, 0)]))
+    return (weight * a[m] * phase).sum(axis=1)
+
+
+class TestFlipKernels:
+    """The single-time kernels built from the flips equal a direct lag sum
+    and the explicit reference integrals on hand-built paths."""
+
+    def setup_method(self):
+        self.system = SystemSpec(1.0, v=1.0)
+        self.noise = NoiseSpec(0.75, 1.0)
+        self.ts = make_grid(WARM, self.system, self.noise, 8.0)
+        self.h = self.ts[1] - self.ts[0]
+        self.seqs = _kernel_sequences(self.ts, exponent_fn(WARM, "short-time"),
+                                      self.system.epsilon0)
+        self.m_cut = self.seqs[4]
+        # the window spans a good part of the grid, so flips share windows
+        assert 0.3 * len(self.ts) < self.m_cut < 0.5 * len(self.ts)
+
+    def path(self, flips, sign=1):
+        return NoisePath(flip_times=np.array(flips, dtype=float),
+                         initial_sign=sign, horizon=float(self.ts[-1]))
+
+    def cases(self):
+        h, ts, m_cut = self.h, self.ts, self.m_cut
+        return {
+            "no flip": self.path([], -1),
+            "one flip": self.path([4.0 + 0.3 * h]),
+            "several in one window": self.path(
+                [4.1, 4.1 + 0.5 * h, 4.6, 5.05, 5.9], -1),
+            "on a node": self.path([ts[400], ts[400 + m_cut // 3]]),
+            "inside the first window": self.path(
+                [0.25 * h, ts[7], 0.7, ts[m_cut - 1] + 0.5 * h]),
+            "near the horizon": self.path(
+                [6.5, ts[-2], ts[-1] - 0.25 * h], -1),
+        }
+
+    def kernels(self, paths):
+        signs, cum = _path_node_arrays(paths, self.ts)
+        return _single_time_kernels(self.ts, paths, signs, cum, self.seqs[0],
+                                    self.seqs[1], self.noise.omega_n,
+                                    self.m_cut)
+
+    def test_equal_direct_lag_sum(self):
+        cases = self.cases()
+        # one block holds every case, so a path's flips touch only its row
+        z_c, z_s = self.kernels(list(cases.values()))
+        for k, (name, path) in enumerate(cases.items()):
+            for got, a in ((z_c[k], self.seqs[0]), (z_s[k], self.seqs[1])):
+                ref = lag_sum(self.ts, path, a, self.noise.omega_n, self.m_cut)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12,
+                                           err_msg=name)
+
+    def test_equal_explicit_reference(self):
+        n = len(self.ts)
+        for name, path in self.cases().items():
+            z_c, z_s = self.kernels([path])
+            nodes = [0, 2, 5, self.m_cut - 1, self.m_cut, self.m_cut + 1,
+                     n // 2, n - 2, n - 1]
+            nodes += [int(np.searchsorted(self.ts, f)) + d
+                      for f in path.flip_times for d in (0, 1, 2)]
+            # the reference takes two half steps at t = h, so node 1 is left out
+            for i in sorted(set(i for i in nodes if i < n and i != 1)):
+                got = (4.0 * z_c[0, i].real, 4.0 * z_s[0, i].imag,
+                       2.0 * np.conj(z_c[0, i]))
+                for fam, value in zip((1, 2, 5), got):
+                    ref = gamma_along_path(fam, self.ts[i], path, WARM,
+                                           self.system, self.noise, dt=self.h)
+                    assert abs(value - ref) < 1e-12, (name, i, fam)
+
+
+class TestSupportCut:
+    """Both kernel engines sum lags up to m_cut only: the live part of the
+    support must be a prefix, and every sequence zero past the cut."""
+
+    @pytest.mark.parametrize("bath, e0, nu", [(HOT, 1.0, 1.0), (WARM, 1.0, 1.0),
+                                             (COLD, 0.0, 0.05)])
+    def test_sequences_vanish_past_cut(self, bath, e0, nu):
+        system = SystemSpec(e0, v=1.0)
+        ts = make_grid(bath, system, NoiseSpec(0.75, nu), 8.0)
+        exponents = exponent_fn(bath, "short-time")
+        *seqs, m_cut = _kernel_sequences(ts, exponents, e0)
+        _, q2 = exponents(ts)
+        assert m_cut < len(ts) - 1
+        assert np.all(q2[:m_cut] < Q2_SUPPORT_CUT)
+        assert np.all(q2[m_cut:] >= Q2_SUPPORT_CUT)
+        for seq in seqs:
+            assert np.all(seq[m_cut:] == 0.0)
+
+
+class TestBlockPeers:
+    """A path's series do not depend on the other paths of its block."""
+
+    @pytest.mark.parametrize("mode, tol", [("qrt", 0.0), ("qrt+", 1e-15)])
+    def test_alone_equals_in_block(self, mode, tol):
+        system = SystemSpec(1.0, v=1.0)
+        noise = NoiseSpec(0.75, 1.0, seed=11)
+        ts = make_grid(HOT, system, noise, 3.0)
+        t2 = even_anchor(ts, 1.0)
+        i2 = int(round(t2 / (ts[1] - ts[0])))
+        seqs = _kernel_sequences(ts, exponent_fn(HOT, "short-time"),
+                                 system.epsilon0)
+        paths = [sample_path(noise, 3.0, s) for s in range(16)]
+        sz, _, zz, pm, mp = _evolve_block(paths, ts, i2, seqs, system, noise,
+                                          mode)
+        for k, path in enumerate(paths):
+            run = evolve_trajectory(path, ts, t2, system, HOT, noise, mode=mode)
+            for alone, peer in ((run.sz, sz[k]), (run.zz, zz[k]),
+                                (run.pm, pm[k]), (run.mp, mp[k])):
+                assert np.max(np.abs(alone - peer)) <= tol
 
 
 def plain_rk4(rhs, y, i_start, n_steps, h):
@@ -118,8 +293,7 @@ class TestStepMapsAgainstPlainRK4:
         a_c, a_s, _, _, m_cut = self.seqs
         signs, cum = _path_node_arrays(paths, self.ts)
         z_c, z_s = _single_time_kernels(
-            self.ts, cum, a_c, a_s, self.noise.omega_n,
-            next_fast_len(self.n + m_cut + 1),
+            self.ts, paths, signs, cum, a_c, a_s, self.noise.omega_n, m_cut
         )
         return signs, cum, 4.0 * z_c.real, 4.0 * z_s.imag, 2.0 * np.conj(z_c)
 
