@@ -12,7 +12,6 @@ from .bath import (
     BathSpec,
     QuadratureError,
     reorganization_energy,
-    reorganization_energy_quadrature,
     spectral_density,
     xi_coefficient,
 )

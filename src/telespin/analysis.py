@@ -6,8 +6,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit, least_squares
-from scipy.signal import find_peaks, hilbert
 
 DECAY_WARN_FRACTION = 0.05
 
@@ -128,6 +126,8 @@ def detect_peaks(spectrum: SpectrumResult, prominence_frac: float = 0.05):
     Positions are refined by 3-point parabolic interpolation; a flat or
     non-positive spectrum yields an empty list.
     """
+    from scipy.signal import find_peaks
+
     s = spectrum.power
     top = float(np.max(s)) if len(s) else 0.0
     if top <= 0.0:
@@ -153,6 +153,8 @@ def detect_peaks(spectrum: SpectrumResult, prominence_frac: float = 0.05):
 
 def fit_exponential(t, y) -> ExpFit:
     """Nonlinear fit of p + (1 - p) e^{-k t} with multi-start initialization."""
+    from scipy.optimize import curve_fit
+
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(t) < 20:
@@ -198,6 +200,8 @@ def fit_exponential(t, y) -> ExpFit:
 
 def _envelope_rate(t, y):
     """Decay-rate estimate from the log analytic-signal envelope."""
+    from scipy.signal import hilbert
+
     env = np.abs(hilbert(y))
     n = len(y)
     lo, hi = n // 10, max(n // 10 + 3, 9 * n // 10)
@@ -217,6 +221,8 @@ def fit_damped_cosines(t, y) -> DampedFit:
     solve; everything is then refined jointly.  With a single spectral line
     the second component is reported degenerate (a2 ~ 0, w2 unconstrained).
     """
+    from scipy.optimize import least_squares
+
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(t) < 50:

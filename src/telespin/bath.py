@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import digamma
 
 TWO_PI = 2.0 * math.pi
@@ -78,34 +77,6 @@ def reorganization_energy(bath: BathSpec) -> float:
     return bath.kappa**2 / bath.omega0
 
 
-def reorganization_energy_quadrature(bath: BathSpec, rtol: float = 1e-9) -> float:
-    """E_r evaluated as (1/2 pi) \\int_0^inf J(w)/w dw by adaptive quadrature.
-
-    Serves as the independent cross-check of :func:`reorganization_energy`;
-    disagreement beyond quadrature tolerance signals a configuration error.
-    """
-    if bath.kappa == 0.0:
-        return 0.0
-
-    def integrand(w):
-        return spectral_density(w, bath) / w
-
-    total = 0.0
-    w_max = bath.omega0 + 40.0 * bath.gamma
-    val, err = quad(integrand, 1e-300, w_max, limit=400, epsrel=rtol)
-    total = val
-    # double the cutoff until the tail stops contributing
-    for _ in range(40):
-        tail, tail_err = quad(integrand, w_max, 2.0 * w_max, limit=200, epsrel=rtol)
-        total += tail
-        w_max *= 2.0
-        if abs(tail) < 1e-8 * abs(total):
-            break
-    else:
-        raise QuadratureError("reorganization energy tail did not converge")
-    return total / TWO_PI
-
-
 def xi_coefficient(bath: BathSpec) -> float:
     """Curvature of Q2 at short times: Q2(t) -> xi t^2.
 
@@ -142,6 +113,8 @@ def _oscillatory_quad(f, t, a, b, rtol):
     wider than the Lorentzian structure scale, so each sub-quadrature sees a
     well-behaved integrand.
     """
+    from scipy.integrate import quad
+
     period_cap = math.pi / max(t, 1e-12)
     width = min(period_cap, (b - a) / 8.0)
     n_panels = max(8, int(math.ceil((b - a) / width)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, load_config
+from .config import ConfigError, check_n_paths, load_config
 from .dynamics import IntegratorError
 from .kernels import GridResolutionError
 from . import runner
@@ -72,6 +72,8 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             runner.run_sweep(cfg, args.out, workers=args.workers)
         elif args.command == "validate":
+            if args.paths is not None:
+                check_n_paths(args.paths, "--paths")
             report = runner.run_validate(cfg, args.out, n_paths=args.paths)
             print(
                 f"validate: max standardized deviation = "

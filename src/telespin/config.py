@@ -24,12 +24,19 @@ from .bath import BathSpec, xi_coefficient
 from .dynamics import SystemSpec
 from .kernels import resolution_bound
 from .noise import NoiseSpec
+from .oracle import MIN_PATHS
 
 SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
     """Invalid configuration; message carries the offending field path."""
+
+
+def check_n_paths(n_paths: int, name: str = "run.n_paths") -> None:
+    """Reject a Monte Carlo path count below the oracle's floor."""
+    if n_paths < MIN_PATHS:
+        raise ConfigError(f"{name} must be >= {MIN_PATHS}, got {n_paths}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,7 @@ class RunConfig:
             )
         if self.workers < 1:
             raise ConfigError(f"run.workers must be >= 1, got {self.workers}")
+        check_n_paths(self.n_paths)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .kernels import KernelTable
 
@@ -81,6 +80,7 @@ def evolve_single_time(table: KernelTable, initial_sz: float, rtol=RTOL, atol=AT
 
     Raises IntegratorError if the solve fails or |g1| exceeds 1 + 1e-6.
     """
+    from scipy.integrate import solve_ivp
 
     def rhs(t, y):
         g11, g12, g21, g22, *_ = table.single_time_at(t)
@@ -187,6 +187,8 @@ def evolve_two_time(
     from the identical equal-time initial data at t2.  Physicality is
     enforced on output: |Y_1| must stay within 1 + 1e-3.
     """
+    from scipy.integrate import solve_ivp
+
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     ts = table.ts

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .bath import BathSpec, Q2_SUPPORT_CUT, exponent_fn, xi_coefficient
 from .noise import NoiseSpec, propagators
@@ -192,7 +191,8 @@ def build_single_time(
     s0 = s0c.real
 
     def cum(y):
-        return cumulative_trapezoid(y, ts, initial=0.0)
+        # cumulative trapezoid from 0, the same terms as scipy's
+        return np.concatenate(([0.0], np.cumsum(steps * (y[1:] + y[:-1]) / 2.0)))
 
     return KernelTable(
         ts=ts,

@@ -50,6 +50,9 @@ BLOCK = 64
 #: RK4 step maps built at a time; bounds the memory the maps take
 MAP_CHUNK = 512
 
+#: fewest paths an ensemble may hold
+MIN_PATHS = 100
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -429,8 +432,8 @@ def monte_carlo(ts, t2, system, bath, noise, n_paths, mode="qrt+",
     of squared deviations about the block mean, so they do not cancel where
     the spread is small against the mean.
     """
-    if n_paths < 100:
-        raise ValueError("monte_carlo requires n_paths >= 100")
+    if n_paths < MIN_PATHS:
+        raise ValueError(f"monte_carlo requires n_paths >= {MIN_PATHS}")
     ts = np.asarray(ts, dtype=float)
     i2 = _anchor_index(ts, t2)
     if exponents is None:

@@ -321,7 +321,7 @@ def run_validate(cfg: ExperimentConfig, outdir, n_paths: int | None = None) -> d
     """Monte Carlo oracle versus the averaged equations; JSON verdict."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n_paths = n_paths or cfg.run.n_paths
+    n_paths = cfg.run.n_paths if n_paths is None else n_paths
     table, series = compute_series(cfg, mode="qrt+")
     mc = monte_carlo(
         table.ts, series.t2, cfg.system, cfg.bath, cfg.noise, n_paths, mode="qrt+"

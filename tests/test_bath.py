@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from telespin.bath import (
     BathSpec,
+    QuadratureError,
     exponent_fn,
     reorganization_energy,
-    reorganization_energy_quadrature,
     spectral_density,
     xi_coefficient,
 )
@@ -29,6 +30,32 @@ def digamma_series(z, terms=200000):
     partial = np.sum(1.0 / (n + 1.0) - 1.0 / (n + z))
     tail = np.log((terms + z) / (terms + 1.0))
     return -0.5772156649015328606 + partial + tail
+
+
+def reorganization_energy_quadrature(bath: BathSpec, rtol: float = 1e-9) -> float:
+    """E_r evaluated as (1/2 pi) \\int_0^inf J(w)/w dw by adaptive quadrature.
+
+    Serves as the independent cross-check of :func:`reorganization_energy`;
+    disagreement beyond quadrature tolerance signals a configuration error.
+    """
+    if bath.kappa == 0.0:
+        return 0.0
+
+    def integrand(w):
+        return spectral_density(w, bath) / w
+
+    w_max = bath.omega0 + 40.0 * bath.gamma
+    total, _ = quad(integrand, 1e-300, w_max, limit=400, epsrel=rtol)
+    # double the cutoff until the tail stops contributing
+    for _ in range(40):
+        tail, _ = quad(integrand, w_max, 2.0 * w_max, limit=200, epsrel=rtol)
+        total += tail
+        w_max *= 2.0
+        if abs(tail) < 1e-8 * abs(total):
+            break
+    else:
+        raise QuadratureError("reorganization energy tail did not converge")
+    return total / (2 * math.pi)
 
 
 def xi_series_oracle(bath):

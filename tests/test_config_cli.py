@@ -383,3 +383,61 @@ class TestValidateCommand:
         assert set(report) >= {"max_std_dev_zz", "max_std_dev_pm",
                                "max_std_dev_mp", "passed", "threshold"}
         assert (out / "validate_zz.csv").exists()
+
+
+class TestPathCount:
+    """The Monte Carlo path count fails at config time, naming the field."""
+
+    @pytest.mark.parametrize("paths", ["0", "50"])
+    def test_paths_flag_below_floor(self, cfg_file, tmp_path, capsys, paths):
+        rc = main(["validate", "--config", str(cfg_file), "--out",
+                   str(tmp_path / "val"), "--paths", paths])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--paths" in err and "Traceback" not in err
+        assert not (tmp_path / "val").exists()
+
+    def test_config_field_below_floor(self, tmp_path, capsys):
+        path = tmp_path / "p.cfg"
+        path.write_text(BASE_CFG + "run.n_paths = 50\n")
+        with pytest.raises(ConfigError, match="run.n_paths"):
+            load_config(path)
+        rc = main(["validate", "--config", str(path), "--out", str(tmp_path / "val")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "run.n_paths" in err and "Traceback" not in err
+
+
+def _scipy_modules_after(code: str) -> set:
+    """scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    import telespin
+
+    src = Path(telespin.__file__).parents[1]
+    probe = code + ("\nimport sys\n"
+                    "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestImportFootprint:
+    """Set-up loads numpy and scipy.special only; every other scipy
+    subpackage is imported by the function that calls it."""
+
+    def test_setup(self, cfg_file):
+        loaded = _scipy_modules_after(
+            "import telespin.cli\n"
+            "from telespin.config import load_config\n"
+            f"load_config({str(cfg_file)!r}).resolve_ts()")
+        assert "scipy.special" in loaded
+        assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.signal",
+                             "scipy.stats"}
+
+    @pytest.mark.parametrize("extra", [["dynamics"], ["validate", "--paths", "100"]])
+    def test_commands_without_peaks_or_envelopes(self, cfg_file, tmp_path, extra):
+        argv = [extra[0], "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                *extra[1:]]
+        loaded = _scipy_modules_after(
+            f"from telespin.cli import main\nassert main({argv!r}) == 0")
+        assert "scipy.integrate" in loaded
+        assert not loaded & {"scipy.signal", "scipy.stats"}
