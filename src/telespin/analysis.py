@@ -22,7 +22,6 @@ class SpectrumResult:
     freq_grid: np.ndarray
     power: np.ndarray
     window: str
-    source: str = ""
 
     @property
     def bin_width(self) -> float:
@@ -70,7 +69,7 @@ class DeltaReport:
 
 
 def power_spectrum(tau, series, window: str = "hann", pad_factor: int = 4,
-                   power_mode: str = "re", source: str = "") -> SpectrumResult:
+                   power_mode: str = "re") -> SpectrumResult:
     """Discrete one-sided transform with zero padding.
 
     window="hann" applies the decaying half of a Hann window, tapering the
@@ -117,7 +116,7 @@ def power_spectrum(tau, series, window: str = "hann", pad_factor: int = 4,
         power = np.abs(transform) ** 2
     else:
         raise ValueError(f"unknown power_mode: {power_mode!r}")
-    return SpectrumResult(freq_grid=omega, power=power, window=window, source=source)
+    return SpectrumResult(freq_grid=omega, power=power, window=window)
 
 
 def detect_peaks(spectrum: SpectrumResult, prominence_frac: float = 0.05):

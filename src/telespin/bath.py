@@ -26,6 +26,13 @@ TWO_PI = 2.0 * math.pi
 Q2_SUPPORT_CUT = 46.0
 
 
+def support_cut_index(q2) -> int:
+    """m_cut: the first grid index (at least 1) where Q2 reaches the cut, or
+    the last index when the kernel stays alive over the whole grid."""
+    dead = np.flatnonzero(np.asarray(q2) >= Q2_SUPPORT_CUT)
+    return max(int(dead[0]), 1) if dead.size else len(q2) - 1
+
+
 class QuadratureError(RuntimeError):
     """Adaptive quadrature of a bath integral failed to converge."""
 

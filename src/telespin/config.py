@@ -10,13 +10,20 @@ Format, one assignment per line::
 Values are JSON fragments (numbers, strings, lists, booleans).  Lines
 starting with '#' are comments.  Every run writes its fully-resolved
 configuration next to the results.
+
+The section dataclasses in ``SECTIONS`` are the schema: a key ``s.f`` is
+valid when field ``f`` exists on section ``s``'s dataclass, its value is
+cast by the field's annotation, a field without a default is required,
+and ``resolved_dict`` lists the fields in declaration order.  Any value
+that fails its cast or its dataclass's check is a ``ConfigError`` naming
+``section.field``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -50,8 +57,12 @@ class GridConfig:
             raise ConfigError(f"grid.horizon must be > 0, got {self.horizon}")
         if isinstance(self.dt, str) and self.dt != "auto":
             raise ConfigError(f"grid.dt must be a number or 'auto', got {self.dt!r}")
+        if not isinstance(self.dt, str) and self.dt <= 0:
+            raise ConfigError(f"grid.dt must be > 0, got {self.dt}")
         if isinstance(self.t2, str) and self.t2 != "auto":
             raise ConfigError(f"grid.t2 must be a number or 'auto', got {self.t2!r}")
+        if not isinstance(self.t2, str) and self.t2 < 0:
+            raise ConfigError(f"grid.t2 must be >= 0, got {self.t2}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +87,10 @@ class RunConfig:
             raise ConfigError(
                 f"run.s1_denominator must be eta|nu, got {self.s1_denominator!r}"
             )
+        if not 0.0 <= self.prominence <= 1.0:
+            raise ConfigError(f"run.prominence must be in [0, 1], got {self.prominence}")
+        if self.pad_factor < 1:
+            raise ConfigError(f"run.pad_factor must be >= 1, got {self.pad_factor}")
         if self.workers < 1:
             raise ConfigError(f"run.workers must be >= 1, got {self.workers}")
         check_n_paths(self.n_paths)
@@ -89,6 +104,17 @@ class SweepConfig:
     def __post_init__(self):
         if not self.nu or not self.omega_n:
             raise ConfigError("sweep.nu and sweep.omega_n must be nonempty lists")
+
+
+#: config section -> its dataclass, in resolved (CSV header) order
+SECTIONS = {
+    "bath": BathSpec,
+    "noise": NoiseSpec,
+    "system": SystemSpec,
+    "grid": GridConfig,
+    "run": RunConfig,
+    "sweep": SweepConfig,
+}
 
 
 @dataclass(frozen=True)
@@ -119,53 +145,19 @@ class ExperimentConfig:
         return np.linspace(0.0, self.grid.horizon, n + 1)
 
     def resolved_dict(self, **extra) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "bath.kappa": self.bath.kappa,
-            "bath.omega0": self.bath.omega0,
-            "bath.gamma": self.bath.gamma,
-            "bath.beta": self.bath.beta,
-            "noise.omega_n": self.noise.omega_n,
-            "noise.nu": self.noise.nu,
-            "noise.seed": self.noise.seed,
-            "system.epsilon0": self.system.epsilon0,
-            "system.v": self.system.v,
-            "system.initial_sz": self.system.initial_sz,
-            "grid.horizon": self.grid.horizon,
-            "grid.dt": self.grid.dt,
-            "grid.t2": self.grid.t2,
-            "run.mode": self.run.mode,
-            "run.window": self.run.window,
-            "run.power_mode": self.run.power_mode,
-            "run.s1_denominator": self.run.s1_denominator,
-            "run.prominence": self.run.prominence,
-            "run.pad_factor": self.run.pad_factor,
-            "run.workers": self.run.workers,
-            "run.n_paths": self.run.n_paths,
-        }
-        if self.sweep is not None:
-            out["sweep.nu"] = list(self.sweep.nu)
-            out["sweep.omega_n"] = list(self.sweep.omega_n)
+        """Every field as a flat ``section.field`` key, in schema order."""
+        out = {"schema_version": SCHEMA_VERSION}
+        for section in SECTIONS:
+            spec = getattr(self, section)
+            if spec is None:
+                continue
+            for f in fields(spec):
+                value = getattr(spec, f.name)
+                out[f"{section}.{f.name}"] = (
+                    list(value) if isinstance(value, tuple) else value
+                )
         out.update(extra)
         return out
-
-
-_SECTIONS = {
-    "bath": {"kappa", "omega0", "gamma", "beta"},
-    "noise": {"omega_n", "nu", "seed"},
-    "system": {"epsilon0", "v", "initial_sz"},
-    "grid": {"horizon", "dt", "t2"},
-    "run": {"mode", "window", "power_mode", "s1_denominator", "prominence",
-            "pad_factor", "workers", "n_paths"},
-    "sweep": {"nu", "omega_n"},
-}
-
-_REQUIRED = [
-    ("bath", "kappa"), ("bath", "omega0"), ("bath", "gamma"), ("bath", "beta"),
-    ("noise", "omega_n"), ("noise", "nu"),
-    ("system", "epsilon0"),
-    ("grid", "horizon"),
-]
 
 
 def parse_flat(text: str) -> dict:
@@ -195,12 +187,65 @@ def parse_flat(text: str) -> dict:
             raise ConfigError(f"{key}: top-level keys other than schema_version "
                               "must be section.field paths")
         section, _, name = key.partition(".")
-        if section not in _SECTIONS:
+        if section not in SECTIONS:
             raise ConfigError(f"{key}: unknown section {section!r}")
-        if name not in _SECTIONS[section]:
+        if name not in {f.name for f in fields(SECTIONS[section])}:
             raise ConfigError(f"{key}: unknown field {name!r} in section {section!r}")
         tree.setdefault(section, {})[name] = parsed
     return tree
+
+
+def _number(value, kind=float):
+    """A finite JSON number as ``kind``; an int field takes no fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    if not math.isfinite(value) or (kind is int and value != int(value)):
+        raise ValueError(f"expected a finite {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _numbers(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(_number(x) for x in value)
+
+
+#: config value -> field value, keyed by the field's annotation
+_CASTS = {
+    "float": _number,
+    "int": lambda v: _number(v, int),
+    "str": _string,
+    "float | str": lambda v: v if isinstance(v, str) else _number(v),
+    "tuple": _numbers,
+}
+
+
+def _build_section(section: str, cls, raw: dict):
+    """One section's dataclass from its raw values; absent fields keep the
+    dataclass default, and a field without one is required."""
+    kwargs = {}
+    for f in fields(cls):
+        path = f"{section}.{f.name}"
+        if f.name not in raw:
+            if f.default is MISSING:
+                raise ConfigError(f"{path}: required field missing")
+            continue
+        try:
+            kwargs[f.name] = _CASTS[f.type](raw[f.name])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def config_from_tree(tree: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -210,65 +255,12 @@ def config_from_tree(tree: dict, overrides: dict | None = None) -> ExperimentCon
         for key, value in overrides.items():
             section, _, name = key.partition(".")
             tree.setdefault(section, {})[name] = value
-    for section, name in _REQUIRED:
-        if name not in tree.get(section, {}):
-            raise ConfigError(f"{section}.{name}: required field missing")
-    try:
-        bath = BathSpec(
-            kappa=float(tree["bath"]["kappa"]),
-            omega0=float(tree["bath"]["omega0"]),
-            gamma=float(tree["bath"]["gamma"]),
-            beta=float(tree["bath"]["beta"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bath: {exc}") from exc
-    try:
-        noise = NoiseSpec(
-            omega_n=float(tree["noise"]["omega_n"]),
-            nu=float(tree["noise"]["nu"]),
-            seed=int(tree["noise"].get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-    try:
-        system = SystemSpec(
-            epsilon0=float(tree["system"]["epsilon0"]),
-            v=float(tree["system"].get("v", 1.0)),
-            initial_sz=float(tree["system"].get("initial_sz", 1.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"system: {exc}") from exc
-    grid_raw = tree["grid"]
-    grid = GridConfig(
-        horizon=float(grid_raw["horizon"]),
-        dt=grid_raw.get("dt", "auto") if isinstance(grid_raw.get("dt", "auto"), str)
-        else float(grid_raw["dt"]),
-        t2=grid_raw.get("t2", "auto") if isinstance(grid_raw.get("t2", "auto"), str)
-        else float(grid_raw["t2"]),
-    )
-    run_raw = tree.get("run", {})
-    run = RunConfig(
-        mode=run_raw.get("mode", "both"),
-        window=run_raw.get("window", "hann"),
-        power_mode=run_raw.get("power_mode", "re"),
-        s1_denominator=run_raw.get("s1_denominator", "eta"),
-        prominence=float(run_raw.get("prominence", 0.05)),
-        pad_factor=int(run_raw.get("pad_factor", 4)),
-        workers=int(run_raw.get("workers", 1)),
-        n_paths=int(run_raw.get("n_paths", 10000)),
-    )
-    sweep = None
-    if "sweep" in tree:
-        sweep_raw = tree["sweep"]
-        if "nu" not in sweep_raw or "omega_n" not in sweep_raw:
-            raise ConfigError("sweep: both sweep.nu and sweep.omega_n are required")
-        sweep = SweepConfig(
-            nu=tuple(float(x) for x in sweep_raw["nu"]),
-            omega_n=tuple(float(x) for x in sweep_raw["omega_n"]),
-        )
-    return ExperimentConfig(
-        bath=bath, noise=noise, system=system, grid=grid, run=run, sweep=sweep
-    )
+    specs = {
+        section: _build_section(section, cls, tree.get(section, {}))
+        for section, cls in SECTIONS.items()
+        if section in tree or section != "sweep"  # sweep is optional
+    }
+    return ExperimentConfig(**specs)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import BathSpec, Q2_SUPPORT_CUT, exponent_fn, xi_coefficient
+from .bath import BathSpec, exponent_fn, support_cut_index, xi_coefficient
 from .noise import NoiseSpec, propagators
 
 #: grid step must resolve the fastest dynamical scale by this factor
@@ -137,14 +137,6 @@ class KernelTable:
         }
 
 
-def _support_cut_from(q2, ts):
-    """Smallest grid time where Q2 exceeds the dead-kernel threshold."""
-    idx = int(np.argmax(q2 >= Q2_SUPPORT_CUT))
-    if q2[idx] < Q2_SUPPORT_CUT:
-        return float(ts[-1]) + 1.0  # never dead within the horizon
-    return float(ts[max(idx, 1)])
-
-
 def build_single_time(
     ts: np.ndarray,
     bath: BathSpec,
@@ -214,5 +206,5 @@ def build_single_time(
         _em0=np.conj(rot) * s0,
         _em1=np.conj(rot) * s1,
         exponents=exponents,
-        support_cut=_support_cut_from(q2, ts),
+        support_cut=float(ts[support_cut_index(q2)]),
     )

@@ -45,10 +45,6 @@ class NoiseSpec:
         if self.nu <= 0:
             raise ValueError(f"nu must be > 0, got {self.nu}")
 
-    @property
-    def kubo_number(self) -> float:
-        return self.omega_n / self.nu
-
 
 def _sinhc(z):
     """sinh(z)/z, series near 0, complex-safe."""

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import Q2_SUPPORT_CUT, exponent_fn
+from .bath import Q2_SUPPORT_CUT, exponent_fn, support_cut_index
 from .noise import NoisePath, NoiseSpec, sample_path
 
 #: paths per reduction block; fixed so results never depend on scheduling
@@ -56,11 +56,10 @@ MIN_PATHS = 100
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Ensemble mean and standard errors (real/imag parts separately)."""
+    """Ensemble mean and standard error of its real part."""
 
     mean: np.ndarray
     se_re: np.ndarray
-    se_im: np.ndarray
     n_paths: int
 
 
@@ -83,9 +82,8 @@ def _kernel_sequences(ts, exponents, epsilon0):
     truncated where e^{-Q2} is numerically dead.  Both kernel engines sum
     lags up to m_cut only, so every sequence is zero past it."""
     q1, q2 = exponents(ts)
+    m_cut = support_cut_index(q2)
     alive = q2 < Q2_SUPPORT_CUT
-    m_cut = int(np.argmin(alive)) if not alive.all() else len(ts) - 1
-    m_cut = max(m_cut, 1)
     alive[m_cut + 1:] = False
     env = np.exp(-np.minimum(q2, 700.0))
     rot = np.exp(1j * epsilon0 * ts)
@@ -377,21 +375,20 @@ def _anchor_index(ts, t2):
     return i2
 
 
-def _estimate(sums, m2_re, m2_im, n):
-    """Mean and standard errors from the sum over n paths and the sums of
-    squared deviations of the real and imaginary parts from the mean."""
+def _estimate(sums, m2_re, n):
+    """Mean and standard error from the sum over n paths and the sum of
+    squared deviations of the real part from the mean."""
     return MCEstimate(
         mean=sums / n,
         se_re=np.sqrt(m2_re / max(n - 1, 1) / n),
-        se_im=np.sqrt(m2_im / max(n - 1, 1) / n),
         n_paths=n,
     )
 
 
 def _block_sums(paths, ts, i2, seqs, system, noise, mode):
     """For sz, zz, pm and mp in turn: the sum over one block's paths and the
-    sums of squared deviations of the real and imaginary parts from the
-    block mean.  The per-path series are freed on return."""
+    sum of squared deviations of the real part from the block mean.  The
+    per-path series are freed on return."""
     g_series, _, zz, pm, mp = _evolve_block(
         paths, ts, i2, seqs, system, noise, mode
     )
@@ -399,25 +396,21 @@ def _block_sums(paths, ts, i2, seqs, system, noise, mode):
     sums = []
     for arr in (g_series.astype(complex), zz, pm, mp):
         total = arr.sum(axis=0)
-        sums.append(total)
-        for part, mean in ((arr.real, total.real / n), (arr.imag, total.imag / n)):
-            dev = part - mean
-            np.square(dev, out=dev)
-            sums.append(dev.sum(axis=0))
+        dev = arr.real - total.real / n
+        np.square(dev, out=dev)
+        sums += [total, dev.sum(axis=0)]
     return sums
 
 
 def _merge(acc, n_acc, blk, n_blk):
-    """Pairwise update of (sum, M2_re, M2_im) triples: the sums add, and
+    """Pairwise update of (sum, M2_re) pairs: the sums add, and
     M2 = M2a + M2b + d^2 na nb / (na + nb) with d the difference of means."""
     w = n_acc * n_blk / (n_acc + n_blk)
     out = []
-    for k in range(0, len(acc), 3):
+    for k in range(0, len(acc), 2):
         s_a, s_b = acc[k], blk[k]
         d = s_b / n_blk - s_a / n_acc
-        out += [s_a + s_b,
-                acc[k + 1] + blk[k + 1] + d.real**2 * w,
-                acc[k + 2] + blk[k + 2] + d.imag**2 * w]
+        out += [s_a + s_b, acc[k + 1] + blk[k + 1] + d.real**2 * w]
     return out
 
 
@@ -451,7 +444,7 @@ def monte_carlo(ts, t2, system, bath, noise, n_paths, mode="qrt+",
         )
 
     out = {
-        key: _estimate(*totals[3 * k:3 * k + 3], n_paths)
+        key: _estimate(*totals[2 * k:2 * k + 2], n_paths)
         for k, key in enumerate(("sz", "zz", "pm", "mp"))
     }
     out["t_full"] = ts[::2]

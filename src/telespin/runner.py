@@ -12,7 +12,7 @@ import ctypes
 import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import product
 from pathlib import Path
 
@@ -137,7 +137,6 @@ def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
             window=cfg.run.window,
             pad_factor=cfg.run.pad_factor,
             power_mode=cfg.run.power_mode,
-            source=f"{label}:{mode}",
         )
         peaks = analysis.detect_peaks(spec, prominence_frac=cfg.run.prominence)
         write_csv(
@@ -284,15 +283,8 @@ def run_sweep(cfg: ExperimentConfig, outdir, workers: int | None = None) -> dict
     tasks = []
     for i, nu in enumerate(cfg.sweep.nu):
         for j, om in enumerate(cfg.sweep.omega_n):
-            cell_cfg = ExperimentConfig(
-                bath=cfg.bath,
-                noise=type(cfg.noise)(omega_n=om, nu=nu, seed=cfg.noise.seed),
-                system=cfg.system,
-                grid=cfg.grid,
-                run=cfg.run,
-                sweep=None,
-            )
-            tasks.append((i, j, cell_cfg))
+            noise = replace(cfg.noise, omega_n=om, nu=nu)
+            tasks.append((i, j, replace(cfg, noise=noise, sweep=None)))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cell_task, tasks))

@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from telespin.cli import main
-from telespin.config import ConfigError, config_from_tree, load_config, parse_flat
+from telespin.config import (SECTIONS, ConfigError, config_from_tree, load_config,
+                             parse_flat)
 from telespin.csvio import read_csv, write_csv
 from telespin.dynamics import IntegratorError
 
@@ -406,6 +408,142 @@ class TestPathCount:
         err = capsys.readouterr().err
         assert rc == 2
         assert "run.n_paths" in err and "Traceback" not in err
+
+
+class TestConfigErrors:
+    """A bad value fails at config time: exit 2, naming section.field."""
+
+    @pytest.mark.parametrize("line, field", [
+        ('run.pad_factor = "x"', "run.pad_factor"),
+        ('grid.horizon = "abc"', "grid.horizon"),
+        ("bath.kappa = [1]", "bath.kappa"),
+        ('noise.seed = "s"', "noise.seed"),
+        ("noise.seed = 1.5", "noise.seed"),
+        ("sweep.nu = 5", "sweep.nu"),
+        ("grid.dt = -1", "grid.dt"),
+        ("grid.dt = 0", "grid.dt"),
+        ("grid.t2 = -1", "grid.t2"),
+        ("run.pad_factor = 0", "run.pad_factor"),
+        ("run.prominence = -1", "run.prominence"),
+        ("run.prominence = 1.5", "run.prominence"),
+        ("system.v = NaN", "system.v"),
+    ])
+    def test_exit_2_naming_field(self, tmp_path, capsys, line, field):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CFG + line + "\n")
+        rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+
+def _bad_values():
+    for section, cls in SECTIONS.items():
+        for f in fields(cls):
+            bad = ["x", {"a": 1}, None]
+            if f.type != "tuple":
+                bad.append([1, 2])
+            for value in bad:
+                yield pytest.param(f"{section}.{f.name}", value,
+                                   id=f"{section}.{f.name}={json.dumps(value)}")
+
+
+SWEEP = "sweep.nu = [0.5, 1.0]\nsweep.omega_n = [0.75]\n"
+
+
+class TestSchema:
+    """The section dataclasses are the one schema the file format follows."""
+
+    @pytest.mark.parametrize("key, value", list(_bad_values()))
+    def test_every_field_ill_typed(self, tmp_path, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CFG + SWEEP + f"{key} = {json.dumps(value)}\n")
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_config(path)
+
+    def test_round_trip_every_field(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text("""\
+schema_version = 1
+bath.kappa = 1.5
+bath.omega0 = 1.2
+bath.gamma = 0.4
+bath.beta = 0.5
+noise.omega_n = 0.6
+noise.nu = 0.8
+noise.seed = 7
+system.epsilon0 = 0.5
+system.v = 0.9
+system.initial_sz = -0.5
+grid.horizon = 5
+grid.dt = 0.001
+grid.t2 = 1.5
+run.mode = qrt
+run.window = none
+run.power_mode = abs2
+run.s1_denominator = nu
+run.prominence = 0.1
+run.pad_factor = 2
+run.workers = 3
+run.n_paths = 200
+sweep.nu = [0.5, 1]
+sweep.omega_n = [0.25]
+""")
+        cfg = load_config(path)
+        for section, cls in SECTIONS.items():
+            for f in fields(cls):
+                if f.default is not MISSING:
+                    assert getattr(getattr(cfg, section), f.name) != f.default, f.name
+        resolved = cfg.resolved_dict()
+        back = tmp_path / "back.cfg"
+        back.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in resolved.items()))
+        assert load_config(back) == cfg
+        assert load_config(back).resolved_dict() == resolved
+
+    def test_resolved_key_order(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text(BASE_CFG + SWEEP)
+        assert list(load_config(path).resolved_dict(t2=1.0)) == [
+            "schema_version",
+            "bath.kappa", "bath.omega0", "bath.gamma", "bath.beta",
+            "noise.omega_n", "noise.nu", "noise.seed",
+            "system.epsilon0", "system.v", "system.initial_sz",
+            "grid.horizon", "grid.dt", "grid.t2",
+            "run.mode", "run.window", "run.power_mode", "run.s1_denominator",
+            "run.prominence", "run.pad_factor", "run.workers", "run.n_paths",
+            "sweep.nu", "sweep.omega_n",
+            "t2",
+        ]
+
+    def test_int_values_cast_to_float_fields(self, tmp_path):
+        path = tmp_path / "i.cfg"
+        path.write_text(BASE_CFG + "bath.kappa = 2\nrun.pad_factor = 4.0\n"
+                        "sweep.nu = [1]\nsweep.omega_n = [2]\n")
+        cfg = load_config(path)
+        assert type(cfg.bath.kappa) is float and type(cfg.run.pad_factor) is int
+        assert cfg.sweep.nu == (1.0,) and type(cfg.sweep.nu[0]) is float
+
+    def test_sweep_requires_both_axes(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text(BASE_CFG + "sweep.nu = [1.0]\n")
+        with pytest.raises(ConfigError, match=r"sweep\.omega_n: required"):
+            load_config(path)
+
+
+@pytest.mark.parametrize("script", ["correlation_panels", "narrowing_scan",
+                                    "rate_surfaces"])
+def test_script_help(script):
+    import telespin
+
+    root = Path(telespin.__file__).parents[2]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / f"{script}.py"), "--help"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
 
 
 def _scipy_modules_after(code: str) -> set:

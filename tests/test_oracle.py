@@ -221,13 +221,15 @@ class TestFlipKernels:
 
 class TestSupportCut:
     """Both kernel engines sum lags up to m_cut only: the live part of the
-    support must be a prefix, and every sequence zero past the cut."""
+    support must be a prefix, and every sequence zero past the cut.  The
+    kernel table's two-time support ends at the same node."""
 
     @pytest.mark.parametrize("bath, e0, nu", [(HOT, 1.0, 1.0), (WARM, 1.0, 1.0),
                                              (COLD, 0.0, 0.05)])
     def test_sequences_vanish_past_cut(self, bath, e0, nu):
         system = SystemSpec(e0, v=1.0)
-        ts = make_grid(bath, system, NoiseSpec(0.75, nu), 8.0)
+        noise = NoiseSpec(0.75, nu)
+        ts = make_grid(bath, system, noise, 8.0)
         exponents = exponent_fn(bath, "short-time")
         *seqs, m_cut = _kernel_sequences(ts, exponents, e0)
         _, q2 = exponents(ts)
@@ -236,6 +238,22 @@ class TestSupportCut:
         assert np.all(q2[m_cut:] >= Q2_SUPPORT_CUT)
         for seq in seqs:
             assert np.all(seq[m_cut:] == 0.0)
+        assert build_single_time(ts, bath, system, noise).support_cut == ts[m_cut]
+
+    def test_horizon_shorter_than_support(self):
+        # the cold support ends near t = 5.5, past a 3.0 horizon: no lag is
+        # dead, and the cut is the last node
+        system = SystemSpec(0.0, v=1.0)
+        noise = NoiseSpec(0.75, 0.05)
+        ts = make_grid(COLD, system, noise, 3.0)
+        exponents = exponent_fn(COLD, "short-time")
+        *seqs, m_cut = _kernel_sequences(ts, exponents, 0.0)
+        _, q2 = exponents(ts)
+        assert np.all(q2 < Q2_SUPPORT_CUT)
+        assert m_cut == len(ts) - 1
+        for seq in seqs:
+            assert seq[-1] != 0.0
+        assert build_single_time(ts, COLD, system, noise).support_cut == ts[-1]
 
 
 class TestBlockPeers:
