@@ -34,8 +34,6 @@ from .dynamics import (
 )
 from .oracle import (
     MCEstimate,
-    TrajectoryRun,
-    evolve_trajectory,
     monte_carlo,
     standardized_deviation,
 )

@@ -217,8 +217,11 @@ def fit_damped_cosines(t, y) -> DampedFit:
 
     Frequencies are seeded from the two most powerful spectrum peaks of the
     series, the rate from the log envelope, and the amplitudes from a linear
-    solve; everything is then refined jointly.  With a single spectral line
-    the second component is reported degenerate (a2 ~ 0, w2 unconstrained).
+    solve; everything is then refined jointly.  The fit is reported
+    degenerate when one component carries almost no amplitude (a single
+    spectral line: w2 unconstrained), when a frequency collapses below one
+    bin of the seeding spectrum, or when the two frequencies lie within one
+    bin of each other.
     """
     from scipy.optimize import least_squares
 
@@ -268,7 +271,9 @@ def fit_damped_cosines(t, y) -> DampedFit:
     if w2 < w1:
         a1, a2, w1, w2 = a2, a1, w2, w1
     scale = max(abs(a1), abs(a2), 1e-30)
-    degenerate = min(abs(a1), abs(a2)) < 0.01 * scale
+    bin_width = half_spec.bin_width
+    degenerate = bool(min(abs(a1), abs(a2)) < 0.01 * scale
+                      or w1 < bin_width or w2 - w1 < bin_width)
     rms = float(np.sqrt(np.mean(fit.fun**2)))
     return DampedFit(lam=float(lam), a1=float(a1), w1=float(w1), a2=float(a2),
                      w2=float(w2), rms_residual=rms, converged=True,

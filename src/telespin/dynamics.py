@@ -23,6 +23,11 @@ MODES = ("qrt", "qrt+", "both")
 RTOL = 1e-8
 ATOL = 1e-10
 
+#: choose_t2 settles when |g1 - g1(end)| stays below this share of its range
+ANCHOR_FRAC = 0.01
+#: and caps the anchor at this share of the horizon
+ANCHOR_CAP_FRAC = 0.6
+
 
 class IntegratorError(RuntimeError):
     """Adaptive integration failed or produced an unphysical state."""
@@ -107,13 +112,14 @@ def evolve_single_time(table: KernelTable, initial_sz: float, rtol=RTOL, atol=AT
     return g1, g2
 
 
-def choose_t2(ts, g1, frac: float = 0.01, cap_frac: float = 0.6):
+def choose_t2(ts, g1):
     """Quasi-stationary anchor: earliest grid time from which |g1 - g1(end)|
-    stays below frac * |g1(0) - g1(end)|.
+    stays below ANCHOR_FRAC * |g1(0) - g1(end)|.
 
     The suffix maximum makes the criterion persistent (a transient crossing
-    during an oscillation does not qualify).  Falls back to cap_frac * horizon
-    when g1 has not settled, and to t2 = 0 for a constant g1.
+    during an oscillation does not qualify).  Falls back to
+    ANCHOR_CAP_FRAC * horizon when g1 has not settled, and to t2 = 0 for a
+    constant g1.
     """
     g = np.asarray(g1).real
     scale = abs(g[0] - g[-1])
@@ -121,8 +127,8 @@ def choose_t2(ts, g1, frac: float = 0.01, cap_frac: float = 0.6):
         return float(ts[0])
     tail = np.abs(g - g[-1])
     suffix = np.maximum.accumulate(tail[::-1])[::-1]
-    ok = suffix < frac * scale
-    cap = cap_frac * ts[-1]
+    ok = suffix < ANCHOR_FRAC * scale
+    cap = ANCHOR_CAP_FRAC * ts[-1]
     if not ok.any():
         return float(ts[np.searchsorted(ts, cap)])
     t = float(ts[int(np.argmax(ok))])
@@ -192,9 +198,7 @@ def evolve_two_time(
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     ts = table.ts
-    i2 = int(round(t2 / table.dt))
-    if abs(i2 * table.dt - t2) > 1e-9 * max(1.0, t2):
-        raise ValueError("t2 must coincide with a grid node")
+    i2 = table.node_index(t2)
     t2 = float(ts[i2])
     y0 = equal_time_initials(g1[i2], g2[i2])
     t_out = ts[i2:]
@@ -227,8 +231,6 @@ def evolve_two_time(
 
     y_qrt = run("qrt") if mode in ("qrt", "both") else None
     y_plus = run("qrt+") if mode in ("qrt+", "both") else None
-    if t_out[0] != t2:
-        raise IntegratorError("output grid does not start at the anchor")
     return CorrelationSeries(
         ts=ts, g1=g1, g2=g2, t2=t2, t1=t_out, qrt=y_qrt, qrt_plus=y_plus
     )

@@ -14,6 +14,11 @@ families G_{3,j}, G_{4,j} keep both time arguments,
 
 and are evaluated lazily per (t1, t2) by trapezoid on the shared grid.
 
+The table also carries the Monte Carlo oracle's fixed lag sequences
+K_c e^{i e0 u}, K_s e^{i e0 u} and E_f e^{+-i e0 u}, formed from the same
+exponents on the same grid and zero from the support cut m_cut on, so the
+oracle and the averaged solver read one set of bath kernels.
+
 Prefactors follow the per-trajectory equations: 4 V^2 on the sigma_z-sector
 kernels (families 1 and 2), 2 V^2 on the coherence-damping families 5 and 6,
 V^2 on the two-time correction families 3 and 4.
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import BathSpec, exponent_fn, support_cut_index, xi_coefficient
+from .bath import Q2_SUPPORT_CUT, BathSpec, exponent_fn, support_cut_index, xi_coefficient
 from .noise import NoiseSpec, propagators
 
 #: grid step must resolve the fastest dynamical scale by this factor
@@ -71,8 +76,26 @@ class KernelTable:
     _ep1: np.ndarray = field(repr=False)
     _em0: np.ndarray = field(repr=False)
     _em1: np.ndarray = field(repr=False)
+    # the oracle's lag sequences K_c e^{i e0 u}, K_s e^{i e0 u},
+    # E_f e^{+i e0 u}, E_f e^{-i e0 u}, zero from m_cut on
+    a_c: np.ndarray = field(repr=False)
+    a_s: np.ndarray = field(repr=False)
+    d_p: np.ndarray = field(repr=False)
+    d_m: np.ndarray = field(repr=False)
+    m_cut: int = field(repr=False)
     exponents: object = field(repr=False)
-    support_cut: float = field(repr=False)
+
+    @property
+    def support_cut(self) -> float:
+        """Where e^{-Q2} is numerically dead, or the horizon if nowhere."""
+        return float(self.ts[self.m_cut])
+
+    def node_index(self, t: float) -> int:
+        """Index of the grid node at the anchor time t."""
+        k = int(round(t / self.dt))
+        if not 0 <= k < len(self.ts) or abs(k * self.dt - t) > 1e-9 * max(1.0, t):
+            raise ValueError(f"t2 = {t} must coincide with a grid node")
+        return k
 
     def single_time_at(self, t: float):
         """Linear interpolation of the eight single-time kernels at t."""
@@ -95,9 +118,7 @@ class KernelTable:
         """(G31, G32, G41, G42) at (t1, t2); t2 must lie on the grid."""
         if t1 < t2:
             raise ValueError(f"two-time kernels require t1 >= t2 (got {t1} < {t2})")
-        k = int(round(t2 / self.dt))
-        if abs(k * self.dt - t2) > 1e-9 * max(1.0, t2):
-            raise ValueError("t2 must coincide with a grid node")
+        k = self.node_index(t2)
         if k == 0:
             return 0j, 0j, 0j, 0j
         s = t1 - t2
@@ -142,7 +163,6 @@ def build_single_time(
     bath: BathSpec,
     system,
     noise: NoiseSpec,
-    mode: str = "short-time",
     s1_denominator: str = "eta",
     exponents=None,
 ) -> KernelTable:
@@ -150,8 +170,9 @@ def build_single_time(
 
     ts must be a uniform grid starting at 0 whose step satisfies the
     resolution guard dt <= 0.02 min(1/(e0+Omega), 1/sqrt(xi), 1/nu).
-    An explicit ``exponents`` callable overrides the bath mode (used to
-    validate structural identities with synthetic exponents).
+    The bath exponents are the short-time ones unless an explicit
+    ``exponents`` callable replaces them (used to validate structural
+    identities with synthetic exponents).
     """
     ts = np.asarray(ts, dtype=float)
     if ts[0] != 0.0:
@@ -168,7 +189,7 @@ def build_single_time(
             f"grid step {dt:.3e} exceeds resolution bound {bound:.3e}"
         )
     if exponents is None:
-        exponents = exponent_fn(bath, mode)
+        exponents = exponent_fn(bath)
 
     e0 = system.epsilon0
     v2 = system.v * system.v
@@ -181,6 +202,10 @@ def build_single_time(
     rot = np.exp(1j * e0 * ts)
     s0c, s1 = propagators(ts, noise, s1_denominator)
     s0 = s0c.real
+    m_cut = support_cut_index(q2)
+    alive = q2 < Q2_SUPPORT_CUT
+    alive[m_cut + 1:] = False
+    ef = np.where(alive, env, 0.0) * np.exp(1j * q1)
 
     def cum(y):
         # cumulative trapezoid from 0, the same terms as scipy's
@@ -205,6 +230,10 @@ def build_single_time(
         _ep1=rot * s1,
         _em0=np.conj(rot) * s0,
         _em1=np.conj(rot) * s1,
+        a_c=np.where(alive, kc, 0.0) * rot,
+        a_s=np.where(alive, ks, 0.0) * rot,
+        d_p=ef * rot,
+        d_m=ef * np.conj(rot),
+        m_cut=m_cut,
         exponents=exponents,
-        support_cut=float(ts[support_cut_index(q2)]),
     )

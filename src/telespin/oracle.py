@@ -13,6 +13,10 @@ orientations are fixed by requiring the dichotomous-noise average to
 reproduce the noise-averaged generator, which the validation suite checks
 against closed-form propagator moments and the averaged dynamics.
 
+The oracle reads the run's kernel table: its grid, its bath lag sequences
+and its support cut m_cut, so oracle and averaged solver share one set of
+bath kernels.
+
 Per-path single-time kernel series are lag sums of fixed kernel sequences
 against e^{i Omega (W[i] - W[i-m])} (W = cumulative noise integral) over the
 kernel support of m_cut nodes.  A telegraph path is piecewise constant, so
@@ -41,8 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import Q2_SUPPORT_CUT, exponent_fn, support_cut_index
-from .noise import NoisePath, NoiseSpec, sample_path
+from .noise import sample_path
 
 #: paths per reduction block; fixed so results never depend on scheduling
 BLOCK = 64
@@ -61,37 +64,6 @@ class MCEstimate:
     mean: np.ndarray
     se_re: np.ndarray
     n_paths: int
-
-
-@dataclass
-class TrajectoryRun:
-    """Per-path correlator series on the output grid."""
-
-    path: NoisePath
-    t_full: np.ndarray   # full output grid (single-time sigma_z)
-    t1: np.ndarray       # two-time output grid, t1 >= t2
-    sz: np.ndarray       # <sigma_z(t)> along the path
-    zz: np.ndarray       # <sigma_z(t1) sigma_z(t2)>
-    pm: np.ndarray       # <sigma_+(t1) sigma_-(t2)>
-    mp: np.ndarray       # <sigma_-(t1) sigma_+(t2)>
-    sz_at_t2: float
-
-
-def _kernel_sequences(ts, exponents, epsilon0):
-    """Fixed sequences K_c e^{i e0 u}, K_s e^{i e0 u}, E_f+- on the grid,
-    truncated where e^{-Q2} is numerically dead.  Both kernel engines sum
-    lags up to m_cut only, so every sequence is zero past it."""
-    q1, q2 = exponents(ts)
-    m_cut = support_cut_index(q2)
-    alive = q2 < Q2_SUPPORT_CUT
-    alive[m_cut + 1:] = False
-    env = np.exp(-np.minimum(q2, 700.0))
-    rot = np.exp(1j * epsilon0 * ts)
-    a_c = np.where(alive, env * np.cos(q1), 0.0) * rot
-    a_s = np.where(alive, env * np.sin(q1), 0.0) * rot
-    d_p = np.where(alive, env, 0.0) * np.exp(1j * q1) * rot
-    d_m = np.where(alive, env, 0.0) * np.exp(1j * q1) * np.conj(rot)
-    return a_c, a_s, d_p, d_m, m_cut
 
 
 def _path_node_arrays(paths, ts):
@@ -314,12 +286,13 @@ def _run_two_time(ts, i2, signs, gam1, gam2, gam5, g3, g4, epsilon0,
     return out[:, 0].T, out[:, 1].T, out[:, 2].T
 
 
-def _evolve_block(paths, ts, i2, seqs, system, noise, mode):
-    a_c, a_s, d_p, d_m, m_cut = seqs
-    v2 = system.v * system.v
+def _evolve_block(paths, table, i2, system, noise, mode):
+    """sigma_z on the coarse nodes, its value at the anchor node i2, and the
+    two-time zz, pm, mp from i2 on, per path of the block."""
+    ts, m_cut, v2 = table.ts, table.m_cut, table.v2
     signs, cum = _path_node_arrays(paths, ts)
     z_c, z_s = _single_time_kernels(
-        ts, paths, signs, cum, a_c, a_s, noise.omega_n, m_cut
+        ts, paths, signs, cum, table.a_c, table.a_s, noise.omega_n, m_cut
     )
     gam1 = 4.0 * v2 * z_c.real
     gam2 = 4.0 * v2 * z_s.imag
@@ -330,49 +303,15 @@ def _evolve_block(paths, ts, i2, seqs, system, noise, mode):
     g3 = g4 = None
     if mode == "qrt+":
         g3, g4, _ = _two_time_kernels(
-            ts, cum, d_p, d_m, system.epsilon0, noise.omega_n, v2, i2, m_cut
+            ts, cum, table.d_p, table.d_m, table.epsilon0, noise.omega_n, v2,
+            i2, m_cut,
         )
     del cum
     zz, pm, mp = _run_two_time(
-        ts, i2, signs, gam1, gam2, gam5, g3, g4, system.epsilon0,
+        ts, i2, signs, gam1, gam2, gam5, g3, g4, table.epsilon0,
         noise.omega_n, sz_t2,
     )
     return g_series, sz_t2, zz, pm, mp
-
-
-def evolve_trajectory(path, ts, t2, system, bath, noise, mode="qrt+",
-                      exponents=None) -> TrajectoryRun:
-    """Integrate the per-realization equations along one path."""
-    ts = np.asarray(ts, dtype=float)
-    if path.horizon < ts[-1] - 1e-12:
-        raise ValueError("path horizon shorter than the requested evolution")
-    i2 = _anchor_index(ts, t2)
-    if exponents is None:
-        exponents = exponent_fn(bath, "short-time")
-    seqs = _kernel_sequences(ts, exponents, system.epsilon0)
-    g_series, sz_t2, zz, pm, mp = _evolve_block(
-        [path], ts, i2, seqs, system, noise, mode
-    )
-    return TrajectoryRun(
-        path=path,
-        t_full=ts[::2],
-        t1=ts[i2::2],
-        sz=g_series[0],
-        zz=zz[0],
-        pm=pm[0],
-        mp=mp[0],
-        sz_at_t2=float(sz_t2[0]),
-    )
-
-
-def _anchor_index(ts, t2):
-    dt = ts[1] - ts[0]
-    i2 = int(round(t2 / dt))
-    if abs(i2 * dt - t2) > 1e-9 * max(1.0, t2):
-        raise ValueError("t2 must coincide with a grid node")
-    if i2 % 2:
-        raise ValueError("t2 must fall on a coarse output node")
-    return i2
 
 
 def _estimate(sums, m2_re, n):
@@ -385,12 +324,12 @@ def _estimate(sums, m2_re, n):
     )
 
 
-def _block_sums(paths, ts, i2, seqs, system, noise, mode):
+def _block_sums(paths, table, i2, system, noise, mode):
     """For sz, zz, pm and mp in turn: the sum over one block's paths and the
     sum of squared deviations of the real part from the block mean.  The
     per-path series are freed on return."""
     g_series, _, zz, pm, mp = _evolve_block(
-        paths, ts, i2, seqs, system, noise, mode
+        paths, table, i2, system, noise, mode
     )
     n = len(paths)
     sums = []
@@ -414,9 +353,9 @@ def _merge(acc, n_acc, blk, n_blk):
     return out
 
 
-def monte_carlo(ts, t2, system, bath, noise, n_paths, mode="qrt+",
-                exponents=None, block=BLOCK):
-    """Ensemble means and standard errors of the four correlators.
+def monte_carlo(table, t2, system, noise, n_paths, mode="qrt+", block=BLOCK):
+    """Ensemble means and standard errors of the four correlators on the
+    grid and bath kernels of ``table``, from the anchor t2, an even node.
 
     Results are bit-identical for a fixed (seed, n_paths) regardless of how
     the work is scheduled: path p always uses stream index p, blocks have a
@@ -427,18 +366,17 @@ def monte_carlo(ts, t2, system, bath, noise, n_paths, mode="qrt+",
     """
     if n_paths < MIN_PATHS:
         raise ValueError(f"monte_carlo requires n_paths >= {MIN_PATHS}")
-    ts = np.asarray(ts, dtype=float)
-    i2 = _anchor_index(ts, t2)
-    if exponents is None:
-        exponents = exponent_fn(bath, "short-time")
-    seqs = _kernel_sequences(ts, exponents, system.epsilon0)
+    ts = table.ts
+    i2 = table.node_index(t2)
+    if i2 % 2:
+        raise ValueError("t2 must fall on a coarse output node")
     horizon = float(ts[-1])
 
     totals = None
     for start in range(0, n_paths, block):
         stop = min(n_paths, start + block)
         paths = [sample_path(noise, horizon, s) for s in range(start, stop)]
-        sums = _block_sums(paths, ts, i2, seqs, system, noise, mode)
+        sums = _block_sums(paths, table, i2, system, noise, mode)
         totals = sums if totals is None else _merge(
             totals, start, sums, stop - start
         )

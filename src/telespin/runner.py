@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .csvio import write_csv
 from .dynamics import (
     IntegratorError,
@@ -41,20 +41,25 @@ def _build_table(cfg: ExperimentConfig, ts):
         cfg.bath,
         cfg.system,
         cfg.noise,
-        mode="short-time",
         s1_denominator=cfg.run.s1_denominator,
     )
 
 
 def _resolve_anchor(cfg: ExperimentConfig, table, g1) -> float:
-    """t2 from config or policy, snapped to a coarse (even) grid node."""
+    """t2 from config or policy, snapped to a coarse (even) grid node that
+    leaves at least one two-time step before the horizon."""
     if cfg.grid.t2 == "auto":
         t2 = choose_t2(table.ts, g1)
     else:
         t2 = float(cfg.grid.t2)
     i2 = int(round(t2 / table.dt))
     i2 += i2 % 2
-    i2 = min(i2, len(table.ts) - 3)
+    last = len(table.ts) - 3
+    if i2 > last:
+        raise ConfigError(
+            f"grid.t2 = {cfg.grid.t2} lies past t = {table.ts[last]:.6g}, "
+            f"the last anchor that leaves a two-time step before the horizon"
+        )
     return float(table.ts[i2])
 
 
@@ -84,9 +89,9 @@ def compute_series(cfg: ExperimentConfig, mode=None):
 
 
 def run_dynamics(cfg: ExperimentConfig, outdir, dump_kernels=None) -> dict:
+    table, series = compute_series(cfg)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table, series = compute_series(cfg)
     meta = cfg.resolved_dict(t2=series.t2)
     write_csv(
         outdir / "single_time.csv",
@@ -122,10 +127,10 @@ def run_dynamics(cfg: ExperimentConfig, outdir, dump_kernels=None) -> dict:
 
 
 def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     mode = cfg.run.mode if cfg.run.mode != "both" else "qrt+"
     table, series = compute_series(cfg, mode=mode)
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     y = series.qrt_plus if mode == "qrt+" else series.qrt
     tau = series.t1 - series.t2
     meta = cfg.resolved_dict(t2=series.t2, spectrum_mode=mode)
@@ -311,12 +316,12 @@ def run_sweep(cfg: ExperimentConfig, outdir, workers: int | None = None) -> dict
 
 def run_validate(cfg: ExperimentConfig, outdir, n_paths: int | None = None) -> dict:
     """Monte Carlo oracle versus the averaged equations; JSON verdict."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     n_paths = cfg.run.n_paths if n_paths is None else n_paths
     table, series = compute_series(cfg, mode="qrt+")
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     mc = monte_carlo(
-        table.ts, series.t2, cfg.system, cfg.bath, cfg.noise, n_paths, mode="qrt+"
+        table, series.t2, cfg.system, cfg.noise, n_paths=n_paths, mode="qrt+"
     )
     stride = 2  # oracle output lives on coarse nodes
     exact = {

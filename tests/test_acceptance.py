@@ -74,8 +74,8 @@ class TestA2OracleEquivalence:
     def test_criterion(self):
         cfg = make_cfg(HOT, eps0=1.0, nu=1.0, omega=0.75, horizon=40.0)
         table, series = compute_series(cfg, mode="qrt+")
-        mc = ts.monte_carlo(table.ts, series.t2, cfg.system, cfg.bath,
-                            cfg.noise, 10000, mode="qrt+")
+        mc = ts.monte_carlo(table, series.t2, cfg.system, cfg.noise, 10000,
+                            mode="qrt+")
         exact = {
             "zz": series.qrt_plus[::2, 0],
             "pm": series.qrt_plus[::2, 2],
@@ -354,8 +354,9 @@ class TestA8NumericalHygiene:
         grid = cfg.resolve_ts()
         i2 = int(round(2.0 / (grid[1] - grid[0])))
         t2 = float(grid[i2 + i2 % 2])
-        mc1 = ts.monte_carlo(grid, t2, cfg.system, cfg.bath, cfg.noise, 128)
-        mc2 = ts.monte_carlo(grid, t2, cfg.system, cfg.bath, cfg.noise, 128)
+        table = ts.build_single_time(grid, cfg.bath, cfg.system, cfg.noise)
+        mc1 = ts.monte_carlo(table, t2, cfg.system, cfg.noise, 128)
+        mc2 = ts.monte_carlo(table, t2, cfg.system, cfg.noise, 128)
         same_mc = all(np.array_equal(mc1[k].mean, mc2[k].mean)
                       for k in ("zz", "pm", "mp", "sz"))
         assert verdict("A8e", same_sweep and same_mc,

@@ -165,6 +165,18 @@ class TestFitDampedCosines:
         assert fit.degenerate
         assert min(abs(fit.a1), abs(fit.a2)) < 0.02 * max(abs(fit.a1), abs(fit.a2))
 
+    def test_collapsed_frequency_flagged(self):
+        # a non-oscillating component fits as w1 = 0 with a sizable
+        # amplitude, which the amplitude test alone lets through
+        t = np.linspace(0.0, 25.0, 600)
+        y = np.exp(-0.2 * t) * (0.6 + 0.4 * np.cos(1.2 * t))
+        fit = fit_damped_cosines(t, y)
+        assert fit.converged
+        assert fit.w1 == pytest.approx(0.0, abs=1e-6)
+        assert fit.w2 == pytest.approx(1.2, abs=1e-4)
+        assert min(abs(fit.a1), abs(fit.a2)) > 0.5 * max(abs(fit.a1), abs(fit.a2))
+        assert fit.degenerate
+
     def test_recovery_under_noise(self):
         rng = np.random.default_rng(5)
         t = np.linspace(0.0, 30.0, 900)

@@ -423,6 +423,8 @@ class TestConfigErrors:
         ("grid.dt = -1", "grid.dt"),
         ("grid.dt = 0", "grid.dt"),
         ("grid.t2 = -1", "grid.t2"),
+        # past the third-last node of the horizon-6 grid: no two-time step left
+        ("grid.t2 = 10.0", "grid.t2"),
         ("run.pad_factor = 0", "run.pad_factor"),
         ("run.prominence = -1", "run.prominence"),
         ("run.prominence = 1.5", "run.prominence"),

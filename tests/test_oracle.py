@@ -10,19 +10,17 @@ from telespin.oracle import (
     BLOCK,
     MAP_CHUNK,
     _evolve_block,
-    _kernel_sequences,
     _path_node_arrays,
     _run_sigma_z,
     _run_two_time,
     _single_time_kernels,
     _two_time_kernels,
-    evolve_trajectory,
     monte_carlo,
     standardized_deviation,
 )
 
 from test_dynamics import propagate
-from test_kernels import make_grid
+from test_kernels import make_grid, make_table
 
 HOT = BathSpec(2.0, 1.0, 0.5, 0.02)
 WARM = BathSpec(2.0, 1.0, 0.5, 1.0)
@@ -89,6 +87,13 @@ def even_anchor(ts, t):
     return float(ts[i])
 
 
+def single_path(path, table, t2, system, noise, mode="qrt+"):
+    """sz, zz, pm, mp along one path: the block engine on a block of one."""
+    sz, _, zz, pm, mp = _evolve_block([path], table, table.node_index(t2),
+                                      system, noise, mode)
+    return sz[0], zz[0], pm[0], mp[0]
+
+
 class TestBlockEngineAgainstReference:
     """The block engine must reproduce the explicit kernel integrals."""
 
@@ -97,15 +102,14 @@ class TestBlockEngineAgainstReference:
         self.noise = NoiseSpec(0.75, 1.0, seed=42)
         self.ts = make_grid(WARM, self.system, self.noise, 8.0)
         self.h = self.ts[1] - self.ts[0]
-        self.exps = exponent_fn(WARM, "short-time")
-        self.seqs = _kernel_sequences(self.ts, self.exps, self.system.epsilon0)
+        self.table = build_single_time(self.ts, WARM, self.system, self.noise)
         self.path = sample_path(self.noise, 8.0, 5)
 
     def test_single_time_families(self):
         signs, cum = _path_node_arrays([self.path], self.ts)
         z_c, z_s = _single_time_kernels(
-            self.ts, [self.path], signs, cum, self.seqs[0], self.seqs[1],
-            self.noise.omega_n, self.seqs[4],
+            self.ts, [self.path], signs, cum, self.table.a_c, self.table.a_s,
+            self.noise.omega_n, self.table.m_cut,
         )
         for t in (0.5, 2.0, 7.5):
             i = int(round(t / self.h))
@@ -125,8 +129,8 @@ class TestBlockEngineAgainstReference:
         i2 += i2 % 2
         t2 = self.ts[i2]
         g3, g4, i_idx = _two_time_kernels(
-            self.ts, cum, self.seqs[2], self.seqs[3], self.system.epsilon0,
-            self.noise.omega_n, 1.0, i2, self.seqs[4],
+            self.ts, cum, self.table.d_p, self.table.d_m, self.system.epsilon0,
+            self.noise.omega_n, 1.0, i2, self.table.m_cut,
         )
         for off in (0, 7, 40):
             t1 = self.ts[i2 + off]
@@ -161,9 +165,8 @@ class TestFlipKernels:
         self.noise = NoiseSpec(0.75, 1.0)
         self.ts = make_grid(WARM, self.system, self.noise, 8.0)
         self.h = self.ts[1] - self.ts[0]
-        self.seqs = _kernel_sequences(self.ts, exponent_fn(WARM, "short-time"),
-                                      self.system.epsilon0)
-        self.m_cut = self.seqs[4]
+        self.table = build_single_time(self.ts, WARM, self.system, self.noise)
+        self.m_cut = self.table.m_cut
         # the window spans a good part of the grid, so flips share windows
         assert 0.3 * len(self.ts) < self.m_cut < 0.5 * len(self.ts)
 
@@ -187,16 +190,16 @@ class TestFlipKernels:
 
     def kernels(self, paths):
         signs, cum = _path_node_arrays(paths, self.ts)
-        return _single_time_kernels(self.ts, paths, signs, cum, self.seqs[0],
-                                    self.seqs[1], self.noise.omega_n,
-                                    self.m_cut)
+        return _single_time_kernels(self.ts, paths, signs, cum,
+                                    self.table.a_c, self.table.a_s,
+                                    self.noise.omega_n, self.m_cut)
 
     def test_equal_direct_lag_sum(self):
         cases = self.cases()
         # one block holds every case, so a path's flips touch only its row
         z_c, z_s = self.kernels(list(cases.values()))
         for k, (name, path) in enumerate(cases.items()):
-            for got, a in ((z_c[k], self.seqs[0]), (z_s[k], self.seqs[1])):
+            for got, a in ((z_c[k], self.table.a_c), (z_s[k], self.table.a_s)):
                 ref = lag_sum(self.ts, path, a, self.noise.omega_n, self.m_cut)
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12,
                                            err_msg=name)
@@ -221,8 +224,9 @@ class TestFlipKernels:
 
 class TestSupportCut:
     """Both kernel engines sum lags up to m_cut only: the live part of the
-    support must be a prefix, and every sequence zero past the cut.  The
-    kernel table's two-time support ends at the same node."""
+    support must be a prefix, and every lag sequence of the kernel table
+    zero past the cut.  The table's two-time support ends at the same
+    node."""
 
     @pytest.mark.parametrize("bath, e0, nu", [(HOT, 1.0, 1.0), (WARM, 1.0, 1.0),
                                              (COLD, 0.0, 0.05)])
@@ -230,15 +234,15 @@ class TestSupportCut:
         system = SystemSpec(e0, v=1.0)
         noise = NoiseSpec(0.75, nu)
         ts = make_grid(bath, system, noise, 8.0)
-        exponents = exponent_fn(bath, "short-time")
-        *seqs, m_cut = _kernel_sequences(ts, exponents, e0)
-        _, q2 = exponents(ts)
+        table = build_single_time(ts, bath, system, noise)
+        m_cut = table.m_cut
+        _, q2 = table.exponents(ts)
         assert m_cut < len(ts) - 1
         assert np.all(q2[:m_cut] < Q2_SUPPORT_CUT)
         assert np.all(q2[m_cut:] >= Q2_SUPPORT_CUT)
-        for seq in seqs:
+        for seq in (table.a_c, table.a_s, table.d_p, table.d_m):
             assert np.all(seq[m_cut:] == 0.0)
-        assert build_single_time(ts, bath, system, noise).support_cut == ts[m_cut]
+        assert table.support_cut == ts[m_cut]
 
     def test_horizon_shorter_than_support(self):
         # the cold support ends near t = 5.5, past a 3.0 horizon: no lag is
@@ -246,14 +250,13 @@ class TestSupportCut:
         system = SystemSpec(0.0, v=1.0)
         noise = NoiseSpec(0.75, 0.05)
         ts = make_grid(COLD, system, noise, 3.0)
-        exponents = exponent_fn(COLD, "short-time")
-        *seqs, m_cut = _kernel_sequences(ts, exponents, 0.0)
-        _, q2 = exponents(ts)
+        table = build_single_time(ts, COLD, system, noise)
+        _, q2 = table.exponents(ts)
         assert np.all(q2 < Q2_SUPPORT_CUT)
-        assert m_cut == len(ts) - 1
-        for seq in seqs:
+        assert table.m_cut == len(ts) - 1
+        for seq in (table.a_c, table.a_s, table.d_p, table.d_m):
             assert seq[-1] != 0.0
-        assert build_single_time(ts, COLD, system, noise).support_cut == ts[-1]
+        assert table.support_cut == ts[-1]
 
 
 class TestBlockPeers:
@@ -265,16 +268,13 @@ class TestBlockPeers:
         noise = NoiseSpec(0.75, 1.0, seed=11)
         ts = make_grid(HOT, system, noise, 3.0)
         t2 = even_anchor(ts, 1.0)
-        i2 = int(round(t2 / (ts[1] - ts[0])))
-        seqs = _kernel_sequences(ts, exponent_fn(HOT, "short-time"),
-                                 system.epsilon0)
+        table = build_single_time(ts, HOT, system, noise)
         paths = [sample_path(noise, 3.0, s) for s in range(16)]
-        sz, _, zz, pm, mp = _evolve_block(paths, ts, i2, seqs, system, noise,
-                                          mode)
+        sz, _, zz, pm, mp = _evolve_block(paths, table, table.node_index(t2),
+                                          system, noise, mode)
         for k, path in enumerate(paths):
-            run = evolve_trajectory(path, ts, t2, system, HOT, noise, mode=mode)
-            for alone, peer in ((run.sz, sz[k]), (run.zz, zz[k]),
-                                (run.pm, pm[k]), (run.mp, mp[k])):
+            run = single_path(path, table, t2, system, noise, mode)
+            for alone, peer in zip(run, (sz[k], zz[k], pm[k], mp[k])):
                 assert np.max(np.abs(alone - peer)) <= tol
 
 
@@ -302,24 +302,23 @@ class TestStepMapsAgainstPlainRK4:
         self.ts = make_grid(HOT, self.system, self.noise, 3.0)
         self.n = len(self.ts)
         self.h = 2.0 * (self.ts[1] - self.ts[0])
-        self.seqs = _kernel_sequences(self.ts, exponent_fn(HOT, "short-time"),
-                                      self.system.epsilon0)
+        self.table = build_single_time(self.ts, HOT, self.system, self.noise)
         # the sigma_z run and the decoupled two-time runs span several chunks
         assert (self.n - 1) // 2 > 2 * MAP_CHUNK
 
     def kernels(self, paths):
-        a_c, a_s, _, _, m_cut = self.seqs
         signs, cum = _path_node_arrays(paths, self.ts)
         z_c, z_s = _single_time_kernels(
-            self.ts, paths, signs, cum, a_c, a_s, self.noise.omega_n, m_cut
+            self.ts, paths, signs, cum, self.table.a_c, self.table.a_s,
+            self.noise.omega_n, self.table.m_cut,
         )
         return signs, cum, 4.0 * z_c.real, 4.0 * z_s.imag, 2.0 * np.conj(z_c)
 
     def two_time_kernels(self, cum, i2):
-        _, _, d_p, d_m, m_cut = self.seqs
-        g3, g4, _ = _two_time_kernels(self.ts, cum, d_p, d_m,
-                                      self.system.epsilon0,
-                                      self.noise.omega_n, 1.0, i2, m_cut)
+        g3, g4, _ = _two_time_kernels(self.ts, cum, self.table.d_p,
+                                      self.table.d_m, self.system.epsilon0,
+                                      self.noise.omega_n, 1.0, i2,
+                                      self.table.m_cut)
         return g3, g4
 
     def reference(self, signs, gam1, gam2, gam5, g3, g4, i2):
@@ -385,12 +384,12 @@ class TestStepMapsAgainstPlainRK4:
     def test_window_past_last_node(self):
         i2 = self.n - 1 - 100
         g3 = self.check(3, i2, "qrt+")
-        assert g3.shape[1] == self.n - i2 < self.seqs[4] + 1
+        assert g3.shape[1] == self.n - i2 < self.table.m_cut + 1
 
     def test_ensemble_over_blocks(self):
         n_paths = BLOCK + 36
         i2 = 708
-        mc = monte_carlo(self.ts, self.ts[i2], self.system, HOT, self.noise,
+        mc = monte_carlo(self.table, self.ts[i2], self.system, self.noise,
                          n_paths)
         paths = [sample_path(self.noise, 3.0, s) for s in range(n_paths)]
         signs, cum, gam1, gam2, gam5 = self.kernels(paths)
@@ -445,22 +444,23 @@ class TestGammaAlongPath:
 
 
 class TestEvolveTrajectory:
+    """The per-path equations along a single path."""
+
     def test_equal_time_value(self):
         system = SystemSpec(1.0, v=1.0)
         noise = NoiseSpec(0.75, 1.0, seed=3)
-        ts = make_grid(WARM, system, noise, 6.0)
-        t2 = even_anchor(ts, 2.0)
-        run = evolve_trajectory(sample_path(noise, 6.0, 1), ts, t2, system,
-                                WARM, noise)
-        assert run.zz[0] == 1.0 + 0j
+        table = make_table(WARM, system, noise, 6.0)
+        _, zz, _, _ = single_path(sample_path(noise, 6.0, 1), table,
+                                  even_anchor(table.ts, 2.0), system, noise)
+        assert zz[0] == 1.0 + 0j
 
     def test_no_tunneling_static(self):
         system = SystemSpec(1.0, v=0.0)
         noise = NoiseSpec(0.75, 1.0, seed=3)
-        ts = make_grid(WARM, system, noise, 6.0)
-        run = evolve_trajectory(sample_path(noise, 6.0, 2), ts,
-                                even_anchor(ts, 2.0), system, WARM, noise)
-        assert np.allclose(run.sz, run.sz[0], atol=1e-12)
+        table = make_table(WARM, system, noise, 6.0)
+        sz, _, _, _ = single_path(sample_path(noise, 6.0, 2), table,
+                                  even_anchor(table.ts, 2.0), system, noise)
+        assert np.allclose(sz, sz[0], atol=1e-12)
 
     def test_frozen_noise_matches_shifted_bias_dynamics(self):
         # zero-flip path in regression mode == averaged run at eps0 +- Omega
@@ -479,31 +479,32 @@ class TestEvolveTrajectory:
             t2 = even_anchor(ts, 4.0)
             path = NoisePath(flip_times=np.array([]), initial_sign=sign,
                              horizon=horizon)
-            run = evolve_trajectory(path, ts, t2, system, WARM, noise,
-                                    mode="qrt")
+            sz, zz, pm, mp = single_path(
+                path, build_single_time(ts, WARM, system, noise), t2, system,
+                noise, mode="qrt",
+            )
             quiet = NoiseSpec(0.0, 1e-9)
             table = build_single_time(ts, WARM, shifted, quiet)
             series = propagate(table, shifted, "qrt", t2)
             sub = series.qrt[::2]
-            assert np.max(np.abs(run.zz - sub[:, 0])) < 1e-6
-            assert np.max(np.abs(run.pm - sub[:, 2])) < 1e-6
-            assert np.max(np.abs(run.mp - sub[:, 4])) < 1e-6
-            assert np.max(np.abs(run.sz - series.g1[::2].real)) < 1e-6
+            assert np.max(np.abs(zz - sub[:, 0])) < 1e-6
+            assert np.max(np.abs(pm - sub[:, 2])) < 1e-6
+            assert np.max(np.abs(mp - sub[:, 4])) < 1e-6
+            assert np.max(np.abs(sz - series.g1[::2].real)) < 1e-6
 
 
 class TestMonteCarlo:
     def test_degenerate_without_noise(self):
         system = SystemSpec(1.0, v=1.0)
         noise = NoiseSpec(0.0, 1.0, seed=9)
-        ts = make_grid(HOT, system, noise, 4.0)
-        t2 = even_anchor(ts, 2.0)
-        mc = monte_carlo(ts, t2, system, HOT, noise, 100)
-        single = evolve_trajectory(sample_path(noise, 4.0, 0), ts, t2, system,
-                                   HOT, noise)
+        table = make_table(HOT, system, noise, 4.0)
+        t2 = even_anchor(table.ts, 2.0)
+        mc = monte_carlo(table, t2, system, noise, 100)
+        _, zz, _, _ = single_path(sample_path(noise, 4.0, 0), table, t2,
+                                  system, noise)
         # identical paths up to pairwise-summation rounding of the reduction
-        assert np.allclose(mc["zz"].mean, single.zz, atol=1e-12, rtol=0)
+        assert np.allclose(mc["zz"].mean, zz, atol=1e-12, rtol=0)
         assert np.max(mc["zz"].se_re) < 1e-7
-        table = build_single_time(ts, HOT, system, noise)
         series = propagate(table, system, "qrt+", t2)
         dev = standardized_deviation(mc["zz"], series.qrt_plus[::2, 0])
         assert np.max(dev) < 3.0
@@ -511,10 +512,10 @@ class TestMonteCarlo:
     def test_seeded_reproducibility(self):
         system = SystemSpec(1.0, v=1.0)
         noise = NoiseSpec(0.75, 1.0, seed=31)
-        ts = make_grid(HOT, system, noise, 3.0)
-        t2 = even_anchor(ts, 1.5)
-        a = monte_carlo(ts, t2, system, HOT, noise, 128)
-        b = monte_carlo(ts, t2, system, HOT, noise, 128)
+        table = make_table(HOT, system, noise, 3.0)
+        t2 = even_anchor(table.ts, 1.5)
+        a = monte_carlo(table, t2, system, noise, 128)
+        b = monte_carlo(table, t2, system, noise, 128)
         for key in ("zz", "pm", "mp", "sz"):
             assert np.array_equal(a[key].mean, b[key].mean)
             assert np.array_equal(a[key].se_re, b[key].se_re)
@@ -522,10 +523,10 @@ class TestMonteCarlo:
     def test_standard_error_scaling(self):
         system = SystemSpec(1.0, v=1.0)
         noise = NoiseSpec(0.75, 1.0, seed=13)
-        ts = make_grid(HOT, system, noise, 3.0)
-        t2 = even_anchor(ts, 1.5)
-        small = monte_carlo(ts, t2, system, HOT, noise, 400)
-        large = monte_carlo(ts, t2, system, HOT, noise, 1600)
+        table = make_table(HOT, system, noise, 3.0)
+        t2 = even_anchor(table.ts, 1.5)
+        small = monte_carlo(table, t2, system, noise, 400)
+        large = monte_carlo(table, t2, system, noise, 1600)
         # quadrupling the ensemble halves the median standard error
         ratio = (np.median(small["pm"].se_re[10:])
                  / np.median(large["pm"].se_re[10:]))
@@ -537,14 +538,14 @@ class TestMonteCarlo:
         # agree with a two-pass std over the same paths run one at a time
         system = SystemSpec(1.0, v=1.0)
         noise = NoiseSpec(0.75, 1.0, seed=7)
-        ts = make_grid(HOT, system, noise, 3.0)
-        t2 = even_anchor(ts, 1.5)
+        table = make_table(HOT, system, noise, 3.0)
+        t2 = even_anchor(table.ts, 1.5)
         n = 2 * BLOCK
-        mc = monte_carlo(ts, t2, system, HOT, noise, n)
-        runs = [evolve_trajectory(sample_path(noise, float(ts[-1]), p), ts, t2,
-                                  system, HOT, noise) for p in range(n)]
-        for key in ("sz", "zz", "pm", "mp"):
-            per_path = np.array([getattr(r, key) for r in runs]).real
+        mc = monte_carlo(table, t2, system, noise, n)
+        runs = [single_path(sample_path(noise, float(table.ts[-1]), p), table,
+                            t2, system, noise) for p in range(n)]
+        for k, key in enumerate(("sz", "zz", "pm", "mp")):
+            per_path = np.array([r[k] for r in runs]).real
             ref = per_path.std(axis=0, ddof=1) / np.sqrt(n)
             se = mc[key].se_re
             big = se > 1e-7
@@ -555,18 +556,17 @@ class TestMonteCarlo:
     def test_minimum_ensemble(self):
         system = SystemSpec(1.0, v=1.0)
         noise = NoiseSpec(0.75, 1.0, seed=13)
-        ts = make_grid(HOT, system, noise, 2.0)
+        table = make_table(HOT, system, noise, 2.0)
         with pytest.raises(ValueError):
-            monte_carlo(ts, even_anchor(ts, 1.0), system, HOT, noise, 50)
+            monte_carlo(table, even_anchor(table.ts, 1.0), system, noise, 50)
 
     def test_single_time_matches_averaged_equations(self):
         # statistics-dominated regime: 2000 paths on a short horizon
         system = SystemSpec(1.0, v=1.0)
         noise = NoiseSpec(0.75, 1.0, seed=20260810)
-        ts = make_grid(HOT, system, noise, 6.0)
-        t2 = even_anchor(ts, 3.0)
-        mc = monte_carlo(ts, t2, system, HOT, noise, 2000)
-        table = build_single_time(ts, HOT, system, noise)
+        table = make_table(HOT, system, noise, 6.0)
+        t2 = even_anchor(table.ts, 3.0)
+        mc = monte_carlo(table, t2, system, noise, 2000)
         series = propagate(table, system, "qrt+", t2)
         dev = standardized_deviation(mc["sz"], series.g1[::2])
         assert np.max(dev) < 3.0
@@ -578,9 +578,8 @@ class TestMutationCheck:
         # ensemble comparison must flag it
         system = SystemSpec(1.0, v=1.0)
         noise = NoiseSpec(0.75, 1.0, seed=6)
-        ts = make_grid(HOT, system, noise, 6.0)
-        t2 = even_anchor(ts, 2.0)
-        table = build_single_time(ts, HOT, system, noise)
+        table = make_table(HOT, system, noise, 6.0)
+        t2 = even_anchor(table.ts, 2.0)
 
         def flip_rotation(*args):
             A, b = assemble_generator(*args)
@@ -591,7 +590,7 @@ class TestMutationCheck:
         monkeypatch.setattr(telespin.dynamics, "assemble_generator",
                             flip_rotation)
         bad = propagate(table, system, "qrt+", t2)
-        mc = monte_carlo(ts, t2, system, HOT, noise, 400)
+        mc = monte_carlo(table, t2, system, noise, 400)
         dev_good = standardized_deviation(mc["pm"], good.qrt_plus[::2, 2])
         dev_bad = standardized_deviation(mc["pm"], bad.qrt_plus[::2, 2])
         assert np.max(dev_good) < 3.0
