@@ -164,15 +164,11 @@ def build_single_time(
     system,
     noise: NoiseSpec,
     s1_denominator: str = "eta",
-    exponents=None,
 ) -> KernelTable:
     """Tabulate all single-time kernels and the two-time integrand factors.
 
     ts must be a uniform grid starting at 0 whose step satisfies the
     resolution guard dt <= 0.02 min(1/(e0+Omega), 1/sqrt(xi), 1/nu).
-    The bath exponents are the short-time ones unless an explicit
-    ``exponents`` callable replaces them (used to validate structural
-    identities with synthetic exponents).
     """
     ts = np.asarray(ts, dtype=float)
     if ts[0] != 0.0:
@@ -188,8 +184,7 @@ def build_single_time(
         raise GridResolutionError(
             f"grid step {dt:.3e} exceeds resolution bound {bound:.3e}"
         )
-    if exponents is None:
-        exponents = exponent_fn(bath)
+    exponents = exponent_fn(bath)
 
     e0 = system.epsilon0
     v2 = system.v * system.v

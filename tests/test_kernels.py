@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from telespin import kernels
 from telespin.bath import BathSpec, exponent_fn, reorganization_energy, xi_coefficient
 from telespin.dynamics import SystemSpec
 from telespin.kernels import (
@@ -146,7 +147,7 @@ class TestTwoTimeKernels:
                 assert got.real == pytest.approx(re, rel=2e-6, abs=1e-6 * scale)
                 assert got.imag == pytest.approx(im, rel=2e-6, abs=1e-6 * scale)
 
-    def test_conjugation_with_real_elementary_pair(self):
+    def test_conjugation_with_real_elementary_pair(self, monkeypatch):
         # E_f- = conj(E_f+) requires a vanishing Q1 phase; inject synthetic
         # exponents with Q1 = 0 and check G41 = conj(G31) exactly (S0 real).
         xi = xi_coefficient(WARM)
@@ -155,10 +156,10 @@ class TestTwoTimeKernels:
             ts = np.asarray(ts, dtype=float)
             return np.zeros_like(ts), xi * ts * ts
 
+        monkeypatch.setattr(kernels, "exponent_fn", lambda bath: synthetic)
         ts = make_grid(WARM, self.system, self.noise, 6.0)
-        table = build_single_time(
-            ts, WARM, self.system, self.noise, exponents=synthetic
-        )
+        table = build_single_time(ts, WARM, self.system, self.noise)
+        assert table.exponents is synthetic
         i2 = (len(ts) // 3 // 2) * 2
         t2 = float(ts[i2])
         for t1 in (t2, t2 + 0.5):

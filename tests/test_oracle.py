@@ -3,6 +3,7 @@ import pytest
 
 from telespin.bath import Q2_SUPPORT_CUT, BathSpec, exponent_fn, xi_coefficient
 import telespin.dynamics
+import telespin.oracle
 from telespin.dynamics import SystemSpec, assemble_generator
 from telespin.kernels import build_single_time, resolution_bound
 from telespin.noise import NoisePath, NoiseSpec, propagators, sample_path
@@ -106,10 +107,10 @@ class TestBlockEngineAgainstReference:
         self.path = sample_path(self.noise, 8.0, 5)
 
     def test_single_time_families(self):
-        signs, cum = _path_node_arrays([self.path], self.ts)
+        nodes = _path_node_arrays([self.path], self.ts)
         z_c, z_s = _single_time_kernels(
-            self.ts, [self.path], signs, cum, self.table.a_c, self.table.a_s,
-            self.noise.omega_n, self.table.m_cut,
+            nodes, self.table.a_c, self.table.a_s, self.noise.omega_n,
+            self.table.m_cut,
         )
         for t in (0.5, 2.0, 7.5):
             i = int(round(t / self.h))
@@ -120,16 +121,16 @@ class TestBlockEngineAgainstReference:
             ref5 = gamma_along_path(5, self.ts[i], self.path, WARM, self.system,
                                     self.noise, dt=self.h)
             assert 4.0 * z_c[0, i].real == pytest.approx(ref1.real, abs=1e-12)
-            assert 4.0 * z_s[0, i].imag == pytest.approx(ref2.real, abs=1e-12)
+            assert 4.0 * z_s[0, i] == pytest.approx(ref2.real, abs=1e-12)
             assert 2.0 * np.conj(z_c[0, i]) == pytest.approx(ref5, abs=1e-12)
 
     def test_two_time_families(self):
-        signs, cum = _path_node_arrays([self.path], self.ts)
+        nodes = _path_node_arrays([self.path], self.ts)
         i2 = int(round(3.0 / self.h))
         i2 += i2 % 2
         t2 = self.ts[i2]
         g3, g4, i_idx = _two_time_kernels(
-            self.ts, cum, self.table.d_p, self.table.d_m, self.system.epsilon0,
+            nodes, self.table.d_p, self.table.d_m, self.system.epsilon0,
             self.noise.omega_n, 1.0, i2, self.table.m_cut,
         )
         for off in (0, 7, 40):
@@ -189,8 +190,7 @@ class TestFlipKernels:
         }
 
     def kernels(self, paths):
-        signs, cum = _path_node_arrays(paths, self.ts)
-        return _single_time_kernels(self.ts, paths, signs, cum,
+        return _single_time_kernels(_path_node_arrays(paths, self.ts),
                                     self.table.a_c, self.table.a_s,
                                     self.noise.omega_n, self.m_cut)
 
@@ -198,11 +198,24 @@ class TestFlipKernels:
         cases = self.cases()
         # one block holds every case, so a path's flips touch only its row
         z_c, z_s = self.kernels(list(cases.values()))
+        om, m_cut = self.noise.omega_n, self.m_cut
         for k, (name, path) in enumerate(cases.items()):
-            for got, a in ((z_c[k], self.table.a_c), (z_s[k], self.table.a_s)):
-                ref = lag_sum(self.ts, path, a, self.noise.omega_n, self.m_cut)
+            # only Im Z_s enters the kernels, so only it is built
+            for got, ref in (
+                (z_c[k], lag_sum(self.ts, path, self.table.a_c, om, m_cut)),
+                (z_s[k], lag_sum(self.ts, path, self.table.a_s, om, m_cut).imag),
+            ):
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12,
                                            err_msg=name)
+
+    def test_node_lookups_equal_path_values(self):
+        cases = self.cases()
+        nodes = _path_node_arrays(list(cases.values()), self.ts)
+        cols = np.arange(len(self.ts))
+        for k, (name, path) in enumerate(cases.items()):
+            signs, cum = path.signs_and_cumulative(self.ts)
+            assert np.array_equal(nodes.signs[k], signs), name
+            assert np.array_equal(nodes.cum(k, cols), cum), name
 
     def test_equal_explicit_reference(self):
         n = len(self.ts)
@@ -214,7 +227,7 @@ class TestFlipKernels:
                       for f in path.flip_times for d in (0, 1, 2)]
             # the reference takes two half steps at t = h, so node 1 is left out
             for i in sorted(set(i for i in nodes if i < n and i != 1)):
-                got = (4.0 * z_c[0, i].real, 4.0 * z_s[0, i].imag,
+                got = (4.0 * z_c[0, i].real, 4.0 * z_s[0, i],
                        2.0 * np.conj(z_c[0, i]))
                 for fam, value in zip((1, 2, 5), got):
                     ref = gamma_along_path(fam, self.ts[i], path, WARM,
@@ -307,15 +320,15 @@ class TestStepMapsAgainstPlainRK4:
         assert (self.n - 1) // 2 > 2 * MAP_CHUNK
 
     def kernels(self, paths):
-        signs, cum = _path_node_arrays(paths, self.ts)
+        nodes = _path_node_arrays(paths, self.ts)
         z_c, z_s = _single_time_kernels(
-            self.ts, paths, signs, cum, self.table.a_c, self.table.a_s,
-            self.noise.omega_n, self.table.m_cut,
+            nodes, self.table.a_c, self.table.a_s, self.noise.omega_n,
+            self.table.m_cut,
         )
-        return signs, cum, 4.0 * z_c.real, 4.0 * z_s.imag, 2.0 * np.conj(z_c)
+        return nodes, 4.0 * z_c.real, 4.0 * z_s, 2.0 * np.conj(z_c)
 
-    def two_time_kernels(self, cum, i2):
-        g3, g4, _ = _two_time_kernels(self.ts, cum, self.table.d_p,
+    def two_time_kernels(self, nodes, i2):
+        g3, g4, _ = _two_time_kernels(nodes, self.table.d_p,
                                       self.table.d_m, self.system.epsilon0,
                                       self.noise.omega_n, 1.0, i2,
                                       self.table.m_cut)
@@ -347,16 +360,17 @@ class TestStepMapsAgainstPlainRK4:
 
     def check(self, n_paths, i2, mode, width=None):
         paths = [sample_path(self.noise, 3.0, s) for s in range(n_paths)]
-        signs, cum, gam1, gam2, gam5 = self.kernels(paths)
+        nodes, gam1, gam2, gam5 = self.kernels(paths)
+        signs = nodes.signs
         g3 = g4 = None
         if mode == "qrt+":
-            g3, g4 = self.two_time_kernels(cum, i2)
+            g3, g4 = self.two_time_kernels(nodes, i2)
             if width is not None:
                 g3, g4 = g3[:, :width], g4[:, :width]
-        sz = _run_sigma_z(self.ts, gam1, gam2, 1.0)
+        sz, a_steps = _run_sigma_z(self.ts, gam1, gam2, 1.0)
         got = (sz,) + _run_two_time(
-            self.ts, i2, signs, gam1, gam2, gam5, g3, g4,
-            self.system.epsilon0, self.noise.omega_n, sz[:, i2 // 2],
+            self.ts, i2, signs, gam1, gam2, gam5[:, i2:], g3, g4,
+            self.system.epsilon0, self.noise.omega_n, sz, a_steps,
         )
         ref = self.reference(signs, gam1, gam2, gam5, g3, g4, i2)
         for a, b in zip(got, ref):
@@ -392,12 +406,61 @@ class TestStepMapsAgainstPlainRK4:
         mc = monte_carlo(self.table, self.ts[i2], self.system, self.noise,
                          n_paths)
         paths = [sample_path(self.noise, 3.0, s) for s in range(n_paths)]
-        signs, cum, gam1, gam2, gam5 = self.kernels(paths)
-        g3, g4 = self.two_time_kernels(cum, i2)
-        ref = self.reference(signs, gam1, gam2, gam5, g3, g4, i2)
+        nodes, gam1, gam2, gam5 = self.kernels(paths)
+        g3, g4 = self.two_time_kernels(nodes, i2)
+        ref = self.reference(nodes.signs, gam1, gam2, gam5, g3, g4, i2)
         for key, series in zip(("sz", "zz", "pm", "mp"), ref):
             assert np.allclose(mc[key].mean, series.mean(axis=0), atol=1e-12,
                                rtol=0)
+
+
+
+class TestChunkedScan:
+    """The step maps are applied by a scan over chunks: where the chunks are
+    cut moves results only by rounding, and a row whose running product
+    would leave the floating-point range is split on its own."""
+
+    def test_chunk_length(self, monkeypatch):
+        system = SystemSpec(1.0, v=1.0)
+        noise = NoiseSpec(0.75, 1.0, seed=4)
+        ts = make_grid(HOT, system, noise, 3.0)
+        table = build_single_time(ts, HOT, system, noise)
+        paths = [sample_path(noise, 3.0, s) for s in range(4)]
+        i2 = table.node_index(even_anchor(ts, 1.0))
+        for mode in ("qrt", "qrt+"):
+            ref = _evolve_block(paths, table, i2, system, noise, mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(telespin.oracle, "MAP_CHUNK", 7)
+                got = _evolve_block(paths, table, i2, system, noise, mode)
+            for a, b in zip(got, ref):
+                assert np.max(np.abs(a - b)) <= 1e-13
+
+    def test_strong_damping_matches_plain_recurrence(self):
+        # RK4 steps of dy/dt = -gam1 y - gam2 with gam1 h = 1 on even nodes
+        # and 2 on odd ones shrink y - y_eq by about 1/6 per step
+        n_steps, h, b = 3 * MAP_CHUNK + 5, 2.0, 3
+        ts = np.linspace(0.0, h * n_steps, 2 * n_steps + 1)
+        gam1 = np.where(np.arange(len(ts)) % 2 == 0, 1.0, 2.0) / h
+        gam1 = np.outer(1.0 + 0.1 * np.arange(b), gam1)
+        gam2 = np.full_like(gam1, 0.3)
+        sz, a_steps = _run_sigma_z(ts, gam1, gam2, 1.0)
+        # one chunk's running product underflows
+        assert np.all(np.prod(a_steps[:, :MAP_CHUNK], axis=1) == 0.0)
+        ref = plain_rk4(lambda i, g: -gam1[:, i] * g - gam2[:, i],
+                        np.ones(b), 0, n_steps, h).T
+        assert np.all(np.isfinite(sz))
+        np.testing.assert_allclose(sz, ref, rtol=1e-12, atol=0)
+
+        i2 = 20
+        signs = np.ones_like(gam1)
+        gam5 = np.zeros((b, len(ts) - i2), dtype=complex)
+        zz, pm, mp = _run_two_time(ts, i2, signs, gam1, gam2, gam5, None,
+                                   None, 0.2, 0.1, sz, a_steps)
+        sz_t2 = sz[:, i2 // 2]
+        ref_zz = plain_rk4(lambda i, y: -gam1[:, i] * y - gam2[:, i] * sz_t2,
+                           np.ones(b), i2, (len(ts) - 1 - i2) // 2, h).T
+        assert np.all(np.isfinite(zz))
+        np.testing.assert_allclose(zz, ref_zz, rtol=1e-12, atol=0)
 
 
 class TestGammaAlongPath:

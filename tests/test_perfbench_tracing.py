@@ -45,7 +45,9 @@ def test_assemble_generator_mode_is_sixth_positional():
 
 def test_validate_records_path_count_on_oracle_span(tracing, tmp_path):
     # the tracer reads the path count from monte_carlo's n_paths keyword or
-    # its sixth positional argument; oracle.paths_per_s divides by it
+    # its sixth positional argument; oracle.paths_per_s divides by it.  It
+    # counts path draws through the oracle module's sample_path binding, so
+    # a block loop that stops calling it would drop that count silently.
     cfg = ExperimentConfig(
         bath=BathSpec(2.0, 1.0, 0.5, 0.02),
         noise=NoiseSpec(0.75, 1.0, seed=11),
@@ -62,4 +64,6 @@ def test_validate_records_path_count_on_oracle_span(tracing, tmp_path):
     notes = [rec[tracing.NOTE] for rec in tracer.spans
              if rec[tracing.NAME] == "oracle.monte_carlo"]
     assert notes == [100]
-    assert tracing.layer_metrics([tracer.spans])["oracle.paths_per_s"] > 0
+    metrics = tracing.layer_metrics([tracer.spans])
+    assert metrics["oracle.paths_per_s"] > 0
+    assert metrics["noise.sample_path_calls"] == 100
