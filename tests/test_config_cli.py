@@ -183,6 +183,24 @@ class TestCli:
         for name in ("single_time.csv", "qrt.csv", "qrt_plus.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_dump_kernels_columns_round_trip(self, cfg_file, tmp_path):
+        from telespin.runner import compute_series
+
+        dump = tmp_path / "kernels.csv"
+        assert main(["dynamics", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out"), "--dump-kernels", str(dump)]) == 0
+        meta, cols = read_csv(dump)
+        names = ("g11", "g12", "g21", "g22", "g51", "g52", "g61", "g62")
+        assert list(cols) == ["t"] + [f"{part}_{name}" for name in names
+                                      for part in ("re", "im")]
+        assert meta["file"] == "kernels"
+        table, _ = compute_series(load_config(cfg_file))
+        assert np.array_equal(cols["t"], table.ts)
+        for name in names:
+            arr = getattr(table, name)
+            assert np.array_equal(cols[f"re_{name}"], arr.real), name
+            assert np.array_equal(cols[f"im_{name}"], arr.imag), name
+
     def test_mode_flag_limits_outputs(self, cfg_file, tmp_path):
         out = tmp_path / "qrt_only"
         main(["dynamics", "--config", str(cfg_file), "--out", str(out),
