@@ -36,10 +36,10 @@ def main():
         noise=NoiseSpec(omega_n=omegas[0], nu=nus[0], seed=args.seed),
         system=SystemSpec(epsilon0=args.eps0, v=1.0, initial_sz=1.0),
         grid=GridConfig(horizon=args.horizon, t2=args.t2),
-        run=RunConfig(mode="both"),
+        run=RunConfig(mode="both", workers=args.workers),
         sweep=SweepConfig(nu=tuple(nus), omega_n=tuple(omegas)),
     )
-    result = run_sweep(cfg, args.out, workers=args.workers)
+    result = run_sweep(cfg, args.out)
     print(f"wrote {result['file']} ({len(result['rows'])} cells)")
 
 

@@ -8,13 +8,7 @@ regression, and validates the averaged equations against a Monte Carlo
 average over explicit noise realizations.
 """
 
-from .bath import (
-    BathSpec,
-    QuadratureError,
-    reorganization_energy,
-    spectral_density,
-    xi_coefficient,
-)
+from .bath import BathSpec, reorganization_energy, xi_coefficient
 from .noise import NoisePath, NoiseSpec, propagators, sample_path
 from .kernels import (
     GridResolutionError,

@@ -70,7 +70,7 @@ def main(argv=None) -> int:
         elif args.command == "spectrum":
             runner.run_spectrum(cfg, args.out)
         elif args.command == "sweep":
-            runner.run_sweep(cfg, args.out, workers=args.workers)
+            runner.run_sweep(cfg, args.out)
         elif args.command == "validate":
             if args.paths is not None:
                 check_n_paths(args.paths, "--paths")

@@ -143,20 +143,6 @@ class KernelTable:
         g42 = self.v2 * np.dot(w, fm * self._em1[: m + 1])
         return g31, g32, g41, g42
 
-    def dump_rows(self):
-        """Column mapping used by the --dump-kernels CSV."""
-        return {
-            "t": self.ts,
-            "g11": self.g11,
-            "g12": self.g12,
-            "g21": self.g21,
-            "g22": self.g22,
-            "g51": self.g51,
-            "g52": self.g52,
-            "g61": self.g61,
-            "g62": self.g62,
-        }
-
 
 def build_single_time(
     ts: np.ndarray,

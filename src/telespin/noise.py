@@ -91,8 +91,8 @@ class NoisePath:
     flip_times: np.ndarray
     initial_sign: int
     horizon: float
-    # cumulative integral of alpha at the flip times, for exact evaluation
-    _flip_cum: np.ndarray = field(repr=False, default=None)
+    #: \int_0^t alpha at each flip time t, set from the flips
+    flip_cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.initial_sign not in (-1, 1):
@@ -100,10 +100,9 @@ class NoisePath:
         flips = np.asarray(self.flip_times, dtype=float)
         if flips.size and (np.any(np.diff(flips) <= 0) or flips[0] <= 0):
             raise ValueError("flip_times must be strictly increasing in (0, horizon)")
-        if self._flip_cum is None:
-            segs = np.diff(np.concatenate(([0.0], flips)))
-            signs = self.initial_sign * (-1.0) ** np.arange(flips.size)
-            object.__setattr__(self, "_flip_cum", np.cumsum(segs * signs))
+        segs = np.diff(np.concatenate(([0.0], flips)))
+        signs = self.initial_sign * (-1.0) ** np.arange(flips.size)
+        object.__setattr__(self, "flip_cum", np.cumsum(segs * signs))
 
     def signs_at(self, ts):
         """alpha at each time (out-of-horizon access is an error)."""
@@ -124,7 +123,7 @@ class NoisePath:
         if self.flip_times.size == 0:
             return sign, self.initial_sign * ts
         km = np.maximum(k - 1, 0)
-        base = np.where(k > 0, self._flip_cum[km], 0.0)
+        base = np.where(k > 0, self.flip_cum[km], 0.0)
         last_flip = np.where(k > 0, self.flip_times[km], 0.0)
         return sign, base + sign * (ts - last_flip)
 

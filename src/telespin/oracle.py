@@ -111,7 +111,7 @@ def _path_node_arrays(paths, ts):
     tau = np.zeros(at.size + b)
     w = np.zeros_like(tau)
     tau[at] = np.concatenate([p.flip_times for p in paths])
-    w[at] = np.concatenate([p.cumulative(p.flip_times) for p in paths])
+    w[at] = np.concatenate([p.flip_cum for p in paths])
     path = np.repeat(np.arange(b), sizes)
     index = at - origin[path] - 1  # flip index within its path
     first = np.searchsorted(ts, tau[at], side="left")
@@ -193,7 +193,7 @@ def _two_time_kernels(nodes, d_p, d_m, epsilon0, omega_n, v2, i2, m_cut):
     h = ts[1] - ts[0]
     if i2 == 0:
         zeros = np.zeros((b, len(i_idx)), dtype=complex)
-        return zeros, zeros, i_idx
+        return zeros, zeros
     w = np.full(len(j_idx), h)
     if j_lo == 0:
         w[0] = 0.5 * h
@@ -209,7 +209,7 @@ def _two_time_kernels(nodes, d_p, d_m, epsilon0, omega_n, v2, i2, m_cut):
     phase2 = np.exp(1j * (epsilon0 * ts[i2] + omega_n * nodes.cum(rows, i2)))
     g3 = v2 * phase2 * ((w * r) @ dmat_p)
     g4 = v2 * np.conj(phase2) * ((w * np.conj(r)) @ dmat_m)
-    return g3, g4, i_idx
+    return g3, g4
 
 
 def _rk4_step(f, y, h):
@@ -381,8 +381,8 @@ def _run_two_time(ts, i2, signs, gam1, gam2, gam5, g3, g4, epsilon0,
 
 
 def _evolve_block(paths, table, i2, system, noise, mode):
-    """sigma_z on the coarse nodes, its value at the anchor node i2, and the
-    two-time zz, pm, mp from i2 on, per path of the block."""
+    """sigma_z on the coarse nodes and the two-time zz, pm, mp from the
+    anchor node i2 on, per path of the block."""
     ts, m_cut, v2 = table.ts, table.m_cut, table.v2
     nodes = _path_node_arrays(paths, ts)
     z_c, z_s = _single_time_kernels(
@@ -395,7 +395,7 @@ def _evolve_block(paths, table, i2, system, noise, mode):
     g_series, a_steps = _run_sigma_z(ts, gam1, gam2, system.initial_sz)
     g3 = g4 = None
     if mode == "qrt+":
-        g3, g4, _ = _two_time_kernels(
+        g3, g4 = _two_time_kernels(
             nodes, table.d_p, table.d_m, table.epsilon0, noise.omega_n, v2,
             i2, m_cut,
         )
@@ -405,7 +405,7 @@ def _evolve_block(paths, table, i2, system, noise, mode):
         ts, i2, signs, gam1, gam2, gam5, g3, g4, table.epsilon0,
         noise.omega_n, g_series, a_steps,
     )
-    return g_series, g_series[:, i2 // 2], zz, pm, mp
+    return g_series, zz, pm, mp
 
 
 def _estimate(sums, m2_re, n):
@@ -422,12 +422,9 @@ def _block_sums(paths, table, i2, system, noise, mode):
     """For sz, zz, pm and mp in turn: the sum over one block's paths and the
     sum of squared deviations of the real part from the block mean.  The
     per-path series are freed on return."""
-    g_series, _, zz, pm, mp = _evolve_block(
-        paths, table, i2, system, noise, mode
-    )
     n = len(paths)
     sums = []
-    for arr in (g_series, zz, pm, mp):
+    for arr in _evolve_block(paths, table, i2, system, noise, mode):
         total = arr.sum(axis=0)
         dev = arr.real - total.real / n
         np.square(dev, out=dev)
@@ -447,16 +444,16 @@ def _merge(acc, n_acc, blk, n_blk):
     return out
 
 
-def monte_carlo(table, t2, system, noise, n_paths, mode="qrt+", block=BLOCK):
+def monte_carlo(table, t2, system, noise, n_paths, mode="qrt+"):
     """Ensemble means and standard errors of the four correlators on the
     grid and bath kernels of ``table``, from the anchor t2, an even node.
 
     Results are bit-identical for a fixed (seed, n_paths) regardless of how
-    the work is scheduled: path p always uses stream index p, blocks have a
-    fixed size, and each block's sums over its paths are added to running
-    totals in block-index order.  Variances are merged from per-block sums
-    of squared deviations about the block mean, so they do not cancel where
-    the spread is small against the mean.
+    the work is scheduled: path p always uses stream index p, blocks hold a
+    fixed BLOCK paths (the last block the rest), and each block's sums over
+    its paths are added to running totals in block-index order.  Variances
+    are merged from per-block sums of squared deviations about the block
+    mean, so they do not cancel where the spread is small against the mean.
     """
     if n_paths < MIN_PATHS:
         raise ValueError(f"monte_carlo requires n_paths >= {MIN_PATHS}")
@@ -467,8 +464,8 @@ def monte_carlo(table, t2, system, noise, n_paths, mode="qrt+", block=BLOCK):
     horizon = float(ts[-1])
 
     totals = None
-    for start in range(0, n_paths, block):
-        stop = min(n_paths, start + block)
+    for start in range(0, n_paths, BLOCK):
+        stop = min(n_paths, start + BLOCK)
         paths = [sample_path(noise, horizon, s) for s in range(start, stop)]
         sums = _block_sums(paths, table, i2, system, noise, mode)
         totals = sums if totals is None else _merge(
@@ -479,7 +476,6 @@ def monte_carlo(table, t2, system, noise, n_paths, mode="qrt+", block=BLOCK):
         key: _estimate(*totals[2 * k:2 * k + 2], n_paths)
         for k, key in enumerate(("sz", "zz", "pm", "mp"))
     }
-    out["t_full"] = ts[::2]
     out["t1"] = ts[i2::2]
     return out
 

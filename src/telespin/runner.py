@@ -34,15 +34,8 @@ VALIDATION_THRESHOLD = 3.0
 
 _COMPONENTS = ("zz", "azz", "pm", "apm", "mp", "amp")
 
-
-def _build_table(cfg: ExperimentConfig, ts):
-    return build_single_time(
-        ts,
-        cfg.bath,
-        cfg.system,
-        cfg.noise,
-        s1_denominator=cfg.run.s1_denominator,
-    )
+#: single-time kernel tables written by --dump-kernels
+_KERNELS = ("g11", "g12", "g21", "g22", "g51", "g52", "g61", "g62")
 
 
 def _resolve_anchor(cfg: ExperimentConfig, table, g1) -> float:
@@ -63,11 +56,12 @@ def _resolve_anchor(cfg: ExperimentConfig, table, g1) -> float:
     return float(table.ts[i2])
 
 
-def _series_columns(t1, y):
-    cols = {"t1": t1}
-    for j, name in enumerate(_COMPONENTS):
-        cols[f"re_{name}"] = y[:, j].real
-        cols[f"im_{name}"] = y[:, j].imag
+def _complex_columns(axis, values, arrays: dict) -> dict:
+    """CSV columns: the axis, then re_<name> and im_<name> of each array."""
+    cols = {axis: values}
+    for name, arr in arrays.items():
+        cols[f"re_{name}"] = arr.real
+        cols[f"im_{name}"] = arr.imag
     return cols
 
 
@@ -81,7 +75,8 @@ def compute_series(cfg: ExperimentConfig, mode=None):
     """Shared pipeline: table, single-time background (solved once and
     passed on), anchor, then the requested propagations."""
     ts = cfg.resolve_ts()
-    table = _build_table(cfg, ts)
+    table = build_single_time(ts, cfg.bath, cfg.system, cfg.noise,
+                              s1_denominator=cfg.run.s1_denominator)
     g1, g2 = evolve_single_time(table, cfg.system.initial_sz)
     t2 = _resolve_anchor(cfg, table, g1)
     series = evolve_two_time(table, g1, g2, t2, mode=mode or cfg.run.mode)
@@ -95,33 +90,21 @@ def run_dynamics(cfg: ExperimentConfig, outdir, dump_kernels=None) -> dict:
     meta = cfg.resolved_dict(t2=series.t2)
     write_csv(
         outdir / "single_time.csv",
-        {
-            "t": series.ts,
-            "re_g1": series.g1.real,
-            "im_g1": series.g1.imag,
-            "re_g2": series.g2.real,
-            "im_g2": series.g2.imag,
-        },
+        _complex_columns("t", series.ts, {"g1": series.g1, "g2": series.g2}),
         {**meta, "file": "single_time"},
     )
     written = {"single_time": outdir / "single_time.csv"}
     for tag, y in (("qrt", series.qrt), ("qrt_plus", series.qrt_plus)):
         if y is None:
             continue
-        cols = _series_columns(series.t1, y)
+        cols = _complex_columns("t1", series.t1, dict(zip(_COMPONENTS, y.T)))
         cols["mode"] = np.full(len(series.t1), tag.replace("_plus", "+"), dtype=object)
         write_csv(outdir / f"{tag}.csv", cols, {**meta, "file": tag})
         written[tag] = outdir / f"{tag}.csv"
     if dump_kernels:
-        rows = table.dump_rows()
-        cols = {"t": rows["t"]}
-        for name, arr in rows.items():
-            if name == "t":
-                continue
-            arr = np.asarray(arr, dtype=complex)
-            cols[f"re_{name}"] = arr.real
-            cols[f"im_{name}"] = arr.imag
-        write_csv(Path(dump_kernels), cols, {**meta, "file": "kernels"})
+        kernels = {name: getattr(table, name) for name in _KERNELS}
+        write_csv(Path(dump_kernels), _complex_columns("t", table.ts, kernels),
+                  {**meta, "file": "kernels"})
     _write_config(cfg, outdir, t2=series.t2)
     return {"series": series, "files": written}
 
@@ -279,19 +262,18 @@ _CELL_FIELDS = ("t2", "k", "k_p", "k_rms", "k_converged", "lam", "lam_w1",
                 "delta_mp", "peaks_absorption")
 
 
-def run_sweep(cfg: ExperimentConfig, outdir, workers: int | None = None) -> dict:
+def run_sweep(cfg: ExperimentConfig, outdir) -> dict:
     if cfg.sweep is None:
         raise ValueError("run_sweep requires a sweep section in the config")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    workers = workers or cfg.run.workers
     tasks = []
     for i, nu in enumerate(cfg.sweep.nu):
         for j, om in enumerate(cfg.sweep.omega_n):
             noise = replace(cfg.noise, omega_n=om, nu=nu)
             tasks.append((i, j, replace(cfg, noise=noise, sweep=None)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if cfg.run.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.run.workers) as pool:
             results = list(pool.map(_cell_task, tasks))
     else:
         results = [_cell_task(t) for t in tasks]

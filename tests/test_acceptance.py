@@ -6,6 +6,7 @@ values next to the required threshold rather than loosening it.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,10 +347,15 @@ class TestA8NumericalHygiene:
             bath=cfg.bath, noise=cfg.noise, system=cfg.system, grid=cfg.grid,
             run=cfg.run, sweep=SweepConfig(nu=(0.5, 1.0), omega_n=(0.75,)),
         )
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        run_sweep(sweep_cfg, out1, workers=1)
-        run_sweep(sweep_cfg, out2, workers=2)
-        same_sweep = (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+        bodies = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run_sweep(replace(sweep_cfg, run=replace(cfg.run, workers=workers)), out)
+            lines = (out / "sweep.csv").read_bytes().splitlines()
+            # the header records the worker count each run used
+            assert f"# run.workers = {workers}".encode() in lines
+            bodies.append([l for l in lines if not l.startswith(b"# run.workers")])
+        same_sweep = bodies[0] == bodies[1]
 
         grid = cfg.resolve_ts()
         i2 = int(round(2.0 / (grid[1] - grid[0])))
@@ -360,5 +366,5 @@ class TestA8NumericalHygiene:
         same_mc = all(np.array_equal(mc1[k].mean, mc2[k].mean)
                       for k in ("zz", "pm", "mp", "sz"))
         assert verdict("A8e", same_sweep and same_mc,
-                       f"sweep bytes identical: {same_sweep}, "
+                       f"sweep bytes identical but the worker count: {same_sweep}, "
                        f"MC rerun identical: {same_mc}")

@@ -8,10 +8,8 @@ from scipy.integrate import quad
 
 from telespin.bath import (
     BathSpec,
-    QuadratureError,
     exponent_fn,
     reorganization_energy,
-    spectral_density,
     xi_coefficient,
 )
 
@@ -32,30 +30,59 @@ def digamma_series(z, terms=200000):
     return -0.5772156649015328606 + partial + tail
 
 
-def reorganization_energy_quadrature(bath: BathSpec, rtol: float = 1e-9) -> float:
-    """E_r evaluated as (1/2 pi) \\int_0^inf J(w)/w dw by adaptive quadrature.
+def spectral_density(w, bath: BathSpec):
+    """J(w) = 8 kappa^2 gamma omega0 w / ((w^2 - omega0^2)^2 + 4 gamma^2 w^2)."""
+    w = np.asarray(w, dtype=float)
+    return (8.0 * bath.kappa**2 * bath.gamma * bath.omega0 * w
+            / ((w * w - bath.omega0**2) ** 2 + 4.0 * bath.gamma**2 * w * w))
 
-    Serves as the independent cross-check of :func:`reorganization_energy`;
-    disagreement beyond quadrature tolerance signals a configuration error.
+
+def bath_quad(integrand, bath: BathSpec, t: float = 0.0, rtol: float = 1e-9) -> float:
+    """(1/2 pi) \\int_0^inf integrand(w) dw by adaptive quadrature.
+
+    Panels are no wider than half a period of e^{i w t}, and the cutoff
+    doubles until the tail stops contributing.
     """
-    if bath.kappa == 0.0:
-        return 0.0
 
-    def integrand(w):
-        return spectral_density(w, bath) / w
+    def panels(a, b):
+        width = min(math.pi / t if t > 0 else math.inf, (b - a) / 8.0)
+        edges = np.linspace(a, b, int(math.ceil((b - a) / width)) + 1)
+        return sum(quad(integrand, lo, hi, limit=200, epsrel=rtol, epsabs=1e-14)[0]
+                   for lo, hi in zip(edges[:-1], edges[1:]))
 
     w_max = bath.omega0 + 40.0 * bath.gamma
-    total, _ = quad(integrand, 1e-300, w_max, limit=400, epsrel=rtol)
-    # double the cutoff until the tail stops contributing
+    total = panels(0.0, w_max)
     for _ in range(40):
-        tail, _ = quad(integrand, w_max, 2.0 * w_max, limit=200, epsrel=rtol)
+        tail = panels(w_max, 2.0 * w_max)
         total += tail
         w_max *= 2.0
-        if abs(tail) < 1e-8 * abs(total):
-            break
-    else:
-        raise QuadratureError("reorganization energy tail did not converge")
-    return total / (2 * math.pi)
+        if abs(tail) <= 1e-8 * abs(total):
+            return total / (2 * math.pi)
+    raise AssertionError(f"bath quadrature tail did not converge at t={t}")
+
+
+def reorganization_energy_quadrature(bath: BathSpec, rtol: float = 1e-9) -> float:
+    """E_r = (1/2 pi) \\int_0^inf J(w)/w dw, the independent cross-check of
+    :func:`reorganization_energy`."""
+    return bath_quad(lambda w: spectral_density(w, bath) / w, bath, rtol=rtol)
+
+
+def exact_exponents(bath: BathSpec, ts):
+    """Q1 and Q2 at each time from their defining integrals,
+    Q1 = (1/2 pi) \\int J/w^2 sin(w t) dw and
+    Q2 = (1/2 pi) \\int J/w^2 coth(beta w/2)(1 - cos w t) dw; 1 - cos w t is
+    evaluated as 2 sin^2(w t/2), which does not cancel at small w t."""
+    q1, q2 = [], []
+    for t in np.atleast_1d(np.asarray(ts, dtype=float)):
+        q1.append(bath_quad(
+            lambda w: spectral_density(w, bath) / (w * w) * math.sin(w * t),
+            bath, t))
+        q2.append(bath_quad(
+            lambda w: (spectral_density(w, bath) / (w * w)
+                       / math.tanh(0.5 * bath.beta * w)
+                       * 2.0 * math.sin(0.5 * w * t) ** 2),
+            bath, t))
+    return np.array(q1), np.array(q2)
 
 
 def xi_series_oracle(bath):
@@ -134,14 +161,14 @@ class TestXiCoefficient:
     def test_matches_short_time_curvature_of_exact_q2(self):
         bath = BathSpec(2.0, 1.0, 0.5, 1.0)
         t = 1e-3
-        _, (q2,) = exponent_fn(bath, "exact")(t)
+        _, (q2,) = exact_exponents(bath, t)
         assert q2 / t**2 == pytest.approx(xi_coefficient(bath), rel=1e-3)
 
 
 class TestBathExponents:
     def test_zero_time(self):
-        for mode in ("short-time", "exact"):
-            (q1,), (q2,) = exponent_fn(STRONG, mode)(np.array([0.0]))
+        for exponents in (exponent_fn(STRONG), lambda ts: exact_exponents(STRONG, ts)):
+            (q1,), (q2,) = exponents(np.array([0.0]))
             assert q1 == 0.0 and q2 == 0.0
 
     def test_short_time_q1(self):
@@ -151,21 +178,20 @@ class TestBathExponents:
     def test_exact_agrees_with_short_time_at_small_t(self):
         bath = BathSpec(2.0, 1.0, 0.5, 1.0)
         ts = np.array([0.01, 0.03, 0.05])
-        exact_q1, exact_q2 = exponent_fn(bath, "exact")(ts)
-        short_q1, short_q2 = exponent_fn(bath, "short-time")(ts)
+        exact_q1, exact_q2 = exact_exponents(bath, ts)
+        short_q1, short_q2 = exponent_fn(bath)(ts)
         assert exact_q2 == pytest.approx(short_q2, rel=0.10)
         assert exact_q1 == pytest.approx(short_q1, rel=0.10)
 
     def test_q2_nondecreasing_short_time(self):
-        f = exponent_fn(COLD, "short-time")
+        f = exponent_fn(COLD)
         ts = np.linspace(0.0, 20.0, 400)
         _, q2 = f(ts)
         assert np.all(np.diff(q2) >= 0)
 
     def test_q2_nondecreasing_exact(self):
-        f = exponent_fn(BathSpec(1.0, 1.0, 0.5, 2.0), "exact")
         ts = np.linspace(0.0, 6.0, 9)
-        _, q2 = f(ts)
+        _, q2 = exact_exponents(BathSpec(1.0, 1.0, 0.5, 2.0), ts)
         assert np.all(np.diff(q2) >= -1e-12)
 
 

@@ -167,6 +167,18 @@ class TestIntegratePath:
             integrate_path(path, a, b) + integrate_path(path, b, c), abs=1e-12
         )
 
+    def test_flip_cum_is_cumulative_at_the_flips(self):
+        # the oracle reads flip_cum where it would evaluate the flips' W
+        for nu in (0.05, 1.0, 5.0):
+            noise = NoiseSpec(0.5, nu, seed=3)
+            for k in range(20):
+                path = sample_path(noise, 40.0, k)
+                at_flips = path.cumulative(path.flip_times)
+                assert path.flip_cum.tobytes() == at_flips.tobytes()
+        with pytest.raises(TypeError):
+            NoisePath(flip_times=np.array([1.0]), initial_sign=1, horizon=2.0,
+                      flip_cum=np.array([1.0]))
+
     def test_out_of_horizon_access(self):
         path = sample_path(NoiseSpec(0.5, 1.0, seed=2), 5.0, 0)
         with pytest.raises(ValueError):

@@ -37,7 +37,7 @@ def gamma_along_path(i, times, path, bath, system, noise, dt=None,
     against it.
     """
     if exponents is None:
-        exponents = exponent_fn(bath, "short-time")
+        exponents = exponent_fn(bath)
     if dt is None:
         dt = resolution_bound(
             xi_coefficient(bath), system.epsilon0, noise.omega_n, noise.nu
@@ -90,8 +90,8 @@ def even_anchor(ts, t):
 
 def single_path(path, table, t2, system, noise, mode="qrt+"):
     """sz, zz, pm, mp along one path: the block engine on a block of one."""
-    sz, _, zz, pm, mp = _evolve_block([path], table, table.node_index(t2),
-                                      system, noise, mode)
+    sz, zz, pm, mp = _evolve_block([path], table, table.node_index(t2),
+                                   system, noise, mode)
     return sz[0], zz[0], pm[0], mp[0]
 
 
@@ -129,10 +129,13 @@ class TestBlockEngineAgainstReference:
         i2 = int(round(3.0 / self.h))
         i2 += i2 % 2
         t2 = self.ts[i2]
-        g3, g4, i_idx = _two_time_kernels(
+        g3, g4 = _two_time_kernels(
             nodes, self.table.d_p, self.table.d_m, self.system.epsilon0,
             self.noise.omega_n, 1.0, i2, self.table.m_cut,
         )
+        # the kernels live on node indices i2 .. min(n - 1, i2 + m_cut)
+        width = min(len(self.ts) - 1, i2 + self.table.m_cut) - i2 + 1
+        assert g3.shape == g4.shape == (1, width)
         for off in (0, 7, 40):
             t1 = self.ts[i2 + off]
             ref3 = gamma_along_path(3, (t1, t2), self.path, WARM, self.system,
@@ -283,8 +286,8 @@ class TestBlockPeers:
         t2 = even_anchor(ts, 1.0)
         table = build_single_time(ts, HOT, system, noise)
         paths = [sample_path(noise, 3.0, s) for s in range(16)]
-        sz, _, zz, pm, mp = _evolve_block(paths, table, table.node_index(t2),
-                                          system, noise, mode)
+        sz, zz, pm, mp = _evolve_block(paths, table, table.node_index(t2),
+                                       system, noise, mode)
         for k, path in enumerate(paths):
             run = single_path(path, table, t2, system, noise, mode)
             for alone, peer in zip(run, (sz[k], zz[k], pm[k], mp[k])):
@@ -328,11 +331,9 @@ class TestStepMapsAgainstPlainRK4:
         return nodes, 4.0 * z_c.real, 4.0 * z_s, 2.0 * np.conj(z_c)
 
     def two_time_kernels(self, nodes, i2):
-        g3, g4, _ = _two_time_kernels(nodes, self.table.d_p,
-                                      self.table.d_m, self.system.epsilon0,
-                                      self.noise.omega_n, 1.0, i2,
-                                      self.table.m_cut)
-        return g3, g4
+        return _two_time_kernels(nodes, self.table.d_p, self.table.d_m,
+                                 self.system.epsilon0, self.noise.omega_n,
+                                 1.0, i2, self.table.m_cut)
 
     def reference(self, signs, gam1, gam2, gam5, g3, g4, i2):
         e0, om = self.system.epsilon0, self.noise.omega_n

@@ -44,8 +44,10 @@ def test_assemble_generator_mode_is_sixth_positional():
 
 
 def test_validate_records_path_count_on_oracle_span(tracing, tmp_path):
-    # the tracer reads the path count from monte_carlo's n_paths keyword or
-    # its sixth positional argument; oracle.paths_per_s divides by it.  It
+    # the tracer reads the path count from monte_carlo's n_paths keyword;
+    # positionally n_paths is the fifth argument (a[4]), but the tracer's
+    # fallback reads a[5], which is mode, so the runner passes n_paths by
+    # keyword.  oracle.paths_per_s divides by that count.  It
     # counts path draws through the oracle module's sample_path binding, so
     # a block loop that stops calling it would drop that count silently.
     cfg = ExperimentConfig(
