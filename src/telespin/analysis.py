@@ -150,6 +150,16 @@ def detect_peaks(spectrum: SpectrumResult, prominence_frac: float = 0.05):
     return peaks
 
 
+def _exp_model(x, p, k):
+    return p + (1.0 - p) * np.exp(-k * x)
+
+
+def _exp_jacobian(x, p, k):
+    """d/d(p, k) of _exp_model, one row per sample."""
+    e = np.exp(-k * x)
+    return np.column_stack([1.0 - e, -(1.0 - p) * x * e])
+
+
 def fit_exponential(t, y) -> ExpFit:
     """Nonlinear fit of p + (1 - p) e^{-k t} with multi-start initialization."""
     from scipy.optimize import curve_fit
@@ -174,19 +184,16 @@ def fit_exponential(t, y) -> ExpFit:
             if slope < 0:
                 k0 = -slope
 
-    def model(x, p, k):
-        return p + (1.0 - p) * np.exp(-k * x)
-
     best = None
     for start in (0.3 * k0, k0, 3.0 * k0):
         try:
             popt, _ = curve_fit(
-                model, tt, y, p0=[p0, start],
+                _exp_model, tt, y, p0=[p0, start], jac=_exp_jacobian,
                 bounds=([-np.inf, 0.0], [np.inf, np.inf]), maxfev=20000,
             )
         except (RuntimeError, ValueError):
             continue
-        res = model(tt, *popt) - y
+        res = _exp_model(tt, *popt) - y
         ssr = float(res @ res)
         if best is None or ssr < best[0]:
             best = (ssr, popt)
@@ -210,6 +217,25 @@ def _envelope_rate(t, y):
         return 0.0
     slope = np.polyfit(seg_t[good], np.log(seg_e[good]), 1)[0]
     return max(-slope, 0.0)
+
+
+def _damped_model(t, params):
+    lam, a1, w1, a2, w2 = params
+    return np.exp(-lam * t) * (a1 * np.cos(w1 * t) + a2 * np.cos(w2 * t))
+
+
+def _damped_jacobian(t, params):
+    """d/d(lam, a1, w1, a2, w2) of _damped_model, one row per sample."""
+    lam, a1, w1, a2, w2 = params
+    e = np.exp(-lam * t)
+    c1, c2 = e * np.cos(w1 * t), e * np.cos(w2 * t)
+    return np.column_stack([
+        -t * (a1 * c1 + a2 * c2),
+        c1,
+        -a1 * t * e * np.sin(w1 * t),
+        c2,
+        -a2 * t * e * np.sin(w2 * t),
+    ])
 
 
 def fit_damped_cosines(t, y) -> DampedFit:
@@ -256,12 +282,12 @@ def fit_damped_cosines(t, y) -> DampedFit:
     a_init = amplitudes_for(lam0, *w_init)
 
     def residual(params):
-        lam, a1, w1, a2, w2 = params
-        return np.exp(-lam * tt) * (a1 * np.cos(w1 * tt) + a2 * np.cos(w2 * tt)) - y
+        return _damped_model(tt, params) - y
 
     fit = least_squares(
         residual,
         x0=[lam0, a_init[0], w_init[0], a_init[1], w_init[1]],
+        jac=lambda params: _damped_jacobian(tt, params),
         bounds=([0.0, -np.inf, 0.0, -np.inf, 0.0], np.inf),
         max_nfev=20000,
     )

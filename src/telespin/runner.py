@@ -149,9 +149,12 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
     Rate fits run on the regression series (the corrected propagation can
     trip the physicality guard at strong coupling with early anchors); the
     deltas and spectra use the corrected series when it is available and
-    otherwise leave NaN with the failure recorded in the status field.  The
-    corrected series starts from the regression run's background and
-    anchor, so the cell solves the single-time background once.
+    otherwise leave NaN with the failure recorded in the status field.  A
+    corrected run that breaches stops at its first output node past the
+    bound, and the status names that node, so a fallback cell pays only
+    for the corrected steps up to the breach.  The corrected series starts
+    from the regression run's background and anchor, so the cell solves
+    the single-time background once.
     """
     table, series = compute_series(cfg, mode="qrt")
     t1 = series.t1

@@ -6,6 +6,10 @@ from scipy.signal import find_peaks
 
 from telespin.analysis import (
     SpectrumResult,
+    _damped_jacobian,
+    _damped_model,
+    _exp_jacobian,
+    _exp_model,
     delta_measure,
     detect_peaks,
     fit_damped_cosines,
@@ -193,6 +197,46 @@ class TestFitDampedCosines:
             if abs(fit.lam - lam) < 0.05 * lam and abs(fit.w1 - w1) < 0.05 * max(w1, 0.2):
                 ok += 1
         assert ok >= 6
+
+
+def central_differences(model, params, rel_step=1e-6):
+    """Jacobian of model(params) by central differences, one column per
+    parameter, each stepped by rel_step times its size (at least rel_step)."""
+    params = np.asarray(params, dtype=float)
+    cols = []
+    for i in range(len(params)):
+        h = rel_step * max(abs(params[i]), 1.0)
+        up, down = params.copy(), params.copy()
+        up[i] += h
+        down[i] -= h
+        cols.append((model(up) - model(down)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+class TestFitJacobians:
+    """The fits pass analytic Jacobians to scipy; each must match central
+    differences of its model to 1e-6 of the Jacobian's largest entry."""
+
+    t = np.linspace(0.0, 6.0, 301)
+
+    @pytest.mark.parametrize("p, k", [(0.2, 0.5), (-0.4, 3.0), (0.9, 1e-3)])
+    def test_exponential(self, p, k):
+        exact = _exp_jacobian(self.t, p, k)
+        numeric = central_differences(lambda q: _exp_model(self.t, *q), [p, k])
+        assert exact.shape == (len(self.t), 2)
+        assert np.max(np.abs(exact - numeric)) <= 1e-6 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("params", [
+        (0.3, 0.8, 1.1, -0.2, 2.3),
+        (0.05, -0.5, 0.4, 1.5, 0.45),
+        (0.7, 0.6, 1.4e-8, 0.3, 1.9),   # collapsed w1, as a degenerate fit ends
+        (0.0, 1.0, 0.0, 0.0, 0.0),
+    ])
+    def test_damped_cosines(self, params):
+        exact = _damped_jacobian(self.t, params)
+        numeric = central_differences(lambda q: _damped_model(self.t, q), params)
+        assert exact.shape == (len(self.t), 5)
+        assert np.max(np.abs(exact - numeric)) <= 1e-6 * np.max(np.abs(exact))
 
 
 class TestDeltaMeasure:

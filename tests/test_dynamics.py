@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import telespin.dynamics
 from telespin.analysis import fit_exponential
@@ -210,3 +211,90 @@ class TestEvolveTwoTime:
                             flip_decay_sign)
         with pytest.raises(IntegratorError):
             propagate(table, system, "qrt", node_near(table, 2.0))
+
+
+def reference_single_time(table, initial_sz):
+    """evolve_single_time's equations solved by solve_ivp(t_eval=...)."""
+
+    def rhs(t, y):
+        g11, g12, g21, g22, *_ = table.single_time_at(t)
+        return [-g11 * y[0] + g12 * y[1] - g21,
+                -(table.nu + g11) * y[1] + g12 * y[0] - g22]
+
+    sol = solve_ivp(rhs, (table.ts[0], table.ts[-1]),
+                    np.array([initial_sz, 0.0], dtype=complex),
+                    t_eval=table.ts, rtol=RTOL, atol=ATOL, method="RK45")
+    assert sol.success
+    return sol.y
+
+
+def reference_two_time(table, g1, g2, t2, mode):
+    """evolve_two_time's equations solved by solve_ivp(t_eval=...) to the
+    horizon with no guard; the generator is looked up on the module at
+    call time, like the package's own right-hand side."""
+    i2 = table.node_index(t2)
+    y0 = equal_time_initials(g1[i2], g2[i2])
+
+    def rhs(t1, y):
+        A, b = telespin.dynamics.assemble_generator(
+            t1, t2, table, g1[i2], g2[i2], mode)
+        return A @ y + b
+
+    sol = solve_ivp(rhs, (t2, table.ts[-1]), y0, t_eval=table.ts[i2:],
+                    rtol=RTOL, atol=ATOL, method="RK45")
+    assert sol.success
+    return sol.y.T
+
+
+class TestStepperMatchesSolveIvp:
+    """The stepping helper drives scipy's RK45 as solve_ivp(t_eval=) does;
+    a solve that passes the guard must reproduce it bit for bit, in the same
+    memory layout (downstream reductions then sum in the same order)."""
+
+    @pytest.mark.parametrize("bath, system, noise, horizon", [
+        (HOT, SystemSpec(1.0, v=1.0), NoiseSpec(0.75, 1.0), 6.0),
+        (COLD, SystemSpec(0.0, v=1.0), NoiseSpec(0.75, 0.05), 8.0),
+    ], ids=["hot", "cold"])
+    def test_bit_identical(self, bath, system, noise, horizon):
+        table = make_table(bath, system, noise, horizon)
+        g1, g2 = evolve_single_time(table, system.initial_sz)
+        ref = reference_single_time(table, system.initial_sz)
+        assert np.array_equal(g1, ref[0]) and np.array_equal(g2, ref[1])
+        t2 = node_near(table, 2.0)
+        series = evolve_two_time(table, g1, g2, t2, "both")
+        for mode, y in (("qrt", series.qrt), ("qrt+", series.qrt_plus)):
+            ref = reference_two_time(table, g1, g2, t2, mode)
+            assert np.array_equal(y, ref), mode
+            assert y.strides == ref.strides, mode
+
+
+class TestFailFast:
+    """A qrt+ run that breaches the physicality bound stops at the first
+    output node past it instead of integrating to the horizon."""
+
+    def test_stops_at_first_breach(self, monkeypatch):
+        system = SystemSpec(0.0, v=1.0)
+        table = make_table(COLD, system, NoiseSpec(2.0, 0.01), 6.0)
+        g1, g2 = evolve_single_time(table, system.initial_sz)
+        t2 = node_near(table, 2.0)
+
+        calls = [0]
+        original = telespin.dynamics.assemble_generator
+
+        def counting(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(telespin.dynamics, "assemble_generator", counting)
+        ref = reference_two_time(table, g1, g2, t2, "qrt+")
+        reference_calls, calls[0] = calls[0], 0
+        size = np.abs(ref[:, 0])
+        over = np.flatnonzero(size > 1.0 + 1e-3)
+        assert over.size and over[0] < len(size) // 10
+        k = over[0]
+        t1 = table.ts[table.node_index(t2):]
+
+        with pytest.raises(IntegratorError) as err:
+            evolve_two_time(table, g1, g2, t2, "qrt+")
+        assert f"|Y_1| = {size[k]:.6f} at t1 = {t1[k]:.6f}" in str(err.value)
+        assert calls[0] < 0.1 * reference_calls
