@@ -25,8 +25,6 @@ def _add_common(sub):
                      help="dichotomous propagator S1 denominator variant")
     sub.add_argument("--power-mode", choices=["re", "abs2"],
                      help="spectrum estimator")
-    sub.add_argument("--dump-kernels", metavar="PATH",
-                     help="also dump the single-time kernel tables as CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,6 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     val = subs.add_parser("validate", help="Monte Carlo oracle versus averaged equations")
     for sub in (dyn, spec, swp, val):
         _add_common(sub)
+    dyn.add_argument("--dump-kernels", metavar="PATH",
+                     help="also dump the single-time kernel tables as CSV")
     val.add_argument("--paths", type=int, help="number of Monte Carlo paths")
     return parser
 

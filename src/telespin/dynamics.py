@@ -80,30 +80,120 @@ def equal_time_initials(g1_at_t2, g2_at_t2) -> np.ndarray:
     )
 
 
+# Dormand–Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19
+# (1980)) with Shampine's quartic dense output (Math. Comp. 46, 135 (1986)),
+# written with the literals of scipy's RK45 so each product rounds alike
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+#: error exponent -1/(q + 1) of the embedded order-4 estimate
+_ERROR_EXPONENT = -1 / 5
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+    """First step size (Hairer, Nørsett & Wanner, Solving ODEs I, II.4)."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval_length)
+
+
 def _propagate(rhs, y0, t_out, rtol, atol, what, size, bound, breach):
     """Dormand–Prince RK45 from t_out[0] to t_out[-1], sampled on t_out.
 
-    Drives scipy's RK45 stepper as solve_ivp(..., t_eval=t_out) does (each
-    step's dense output is evaluated on the output nodes the step covers),
-    so a solve that passes returns solve_ivp's samples bit for bit, laid
-    out as its (len(y0), len(t_out)) array.  After every step the new
-    samples are checked: the first node where size(block) exceeds bound
-    stops the run with IntegratorError(breach(t, size)), so a run that
-    leaves the physical range does not integrate on to t_out[-1].  A failed
-    step raises IntegratorError naming `what`.
+    The adaptive stepper repeats scipy's RK45 operation for operation (its
+    tableau literals, initial-step rule, step-size factors 0.9/0.2/10 and
+    numpy calls in the same order), and each accepted step's dense output
+    K.T @ P is evaluated on the output nodes the step covers, as
+    solve_ivp(..., t_eval=t_out) does.  A solve that passes therefore
+    returns solve_ivp's samples bit for bit, laid out as its
+    (len(y0), len(t_out)) array.  After every step the new samples are
+    checked: the first node where size(block) exceeds bound stops the run
+    with IntegratorError(breach(t, size)), so a run that leaves the
+    physical range does not integrate on to t_out[-1].  A step size below
+    ten ulps of t raises IntegratorError naming `what`.
     """
-    from scipy.integrate import RK45
 
-    solver = RK45(rhs, float(t_out[0]), y0, float(t_out[-1]), rtol=rtol, atol=atol)
+    def fun(t, y):
+        return np.asarray(rhs(t, y), dtype=complex)
+
+    t, t_bound = float(t_out[0]), float(t_out[-1])
+    y = y0
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, t_bound, f, rtol, atol)
+    K = np.empty((len(_C) + 1, y.size), dtype=complex)
     blocks = []
     i = 0
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegratorError(f"{what} failed: {message}")
-        j = np.searchsorted(t_out, solver.t, side="right")
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegratorError(f"{what} failed: {TOO_SMALL_STEP}")
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
+                dy = np.dot(K[:s].T, a[:s]) * h
+                K[s] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = fun(t + h, y_new)
+            K[-1] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            if error_norm < 1:
+                factor = (_MAX_FACTOR if error_norm == 0 else
+                          min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        j = np.searchsorted(t_out, t, side="right")
         if j > i:
-            block = solver.dense_output()(t_out[i:j])
+            x = (t_out[i:j] - t_old) / h
+            p = np.cumprod(np.tile(x, (_P.shape[1], 1)), axis=0)
+            block = h * np.dot(K.T.dot(_P), p)
+            block += y_old[:, None]
             sizes = size(block)
             if sizes.max() > bound:
                 k = int(np.argmax(sizes > bound))

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import digamma as scipy_digamma
 
 from telespin.bath import (
     BathSpec,
+    _digamma,
     exponent_fn,
     reorganization_energy,
     xi_coefficient,
@@ -163,6 +165,64 @@ class TestXiCoefficient:
         t = 1e-3
         _, (q2,) = exact_exponents(bath, t)
         assert q2 / t**2 == pytest.approx(xi_coefficient(bath), rel=1e-3)
+
+
+def digamma_argument(bath):
+    """z = 1 + beta (gamma + i sqrt(omega0^2 - gamma^2)) / 2 pi, as xi uses it."""
+    lam = math.sqrt(bath.omega0**2 - bath.gamma**2)
+    return 1.0 + bath.beta * (bath.gamma + 1j * lam) / (2.0 * math.pi)
+
+
+def random_baths():
+    """The baths of TestReorganizationEnergy's random check."""
+    rng = np.random.default_rng(7)
+    return [BathSpec(kappa=rng.uniform(0.2, 3.0), omega0=rng.uniform(0.5, 3.0),
+                     gamma=rng.uniform(0.05, 0.45), beta=rng.uniform(0.02, 50.0))
+            for _ in range(20)]
+
+
+# every bath of the suite, the scripts and the benchmark workloads; beta 0.5
+# is the sweep config of the CLI tests
+SUITE_BATHS = [BathSpec(2.0, 1.0, 0.5, beta) for beta in (0.02, 0.5, 1.0, 2.0, 50.0)]
+SUITE_BATHS += [BathSpec(1.0, 2.0, 0.5, 1.0), *random_baths()]
+
+
+class TestDigamma:
+    """The in-package digamma repeats scipy.special.digamma's branches and
+    operation order; scipy is the reference here only."""
+
+    @pytest.mark.parametrize("bath", SUITE_BATHS, ids=repr)
+    def test_bit_identical_to_scipy_at_suite_baths(self, bath):
+        z = digamma_argument(bath)
+        assert _digamma(z) == complex(scipy_digamma(z))
+
+    @pytest.mark.parametrize("z, branch", [
+        (1.0016 + 0.0028j, "positive-root series"),
+        (4.979 + 6.892j, "backward recurrence"),
+        (12.0 + 40.0j, "asymptotic series"),
+    ])
+    def test_bit_identical_on_each_branch(self, z, branch):
+        assert _digamma(z) == complex(scipy_digamma(z)), branch
+
+    @pytest.mark.parametrize("gamma, omega0", [(0.5, 1.0), (0.1, 1.0), (0.9, 1.0),
+                                               (0.3, 2.0)])
+    def test_beta_scan_within_one_ulp(self, gamma, omega0):
+        lam = math.sqrt(omega0**2 - gamma**2)
+        zs = 1.0 + np.geomspace(1e-3, 1e3, 4001) * (gamma + 1j * lam) / (2 * math.pi)
+        ours = np.array([_digamma(complex(z)) for z in zs])
+        ref = scipy_digamma(zs)
+        for part in (np.real, np.imag):
+            assert np.all(np.abs(part(ours) - part(ref)) <= np.spacing(np.abs(part(ref))))
+
+    def test_value_at_one(self):
+        assert _digamma(1.0 + 0j) == pytest.approx(-0.5772156649015328606, abs=1e-15)
+
+    @pytest.mark.parametrize("z", [0.7 + 0.3j, 1.0016 + 0.0028j, 1.5 + 2.0j, 3.0 + 0.1j,
+                                   4.979 + 6.892j, 15.5 + 1.0j, 20.0 + 30.0j])
+    def test_recurrence(self, z):
+        lhs = _digamma(z + 1.0) - _digamma(z)
+        scale = abs(_digamma(z + 1.0)) + abs(_digamma(z))
+        assert abs(lhs - 1.0 / z) <= 8 * np.finfo(float).eps * scale
 
 
 class TestBathExponents:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -200,6 +201,16 @@ class TestCli:
             arr = getattr(table, name)
             assert np.array_equal(cols[f"re_{name}"], arr.real), name
             assert np.array_equal(cols[f"im_{name}"], arr.imag), name
+
+    @pytest.mark.parametrize("command", ["spectrum", "sweep", "validate"])
+    def test_dump_kernels_only_on_dynamics(self, cfg_file, tmp_path, command, capsys):
+        dump = tmp_path / "kernels.csv"
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                  "--dump-kernels", str(dump)])
+        assert exit_.value.code == 2
+        assert "--dump-kernels" in capsys.readouterr().err
+        assert not dump.exists() and not (tmp_path / "out").exists()
 
     def test_mode_flag_limits_outputs(self, cfg_file, tmp_path):
         out = tmp_path / "qrt_only"
@@ -572,24 +583,38 @@ def _scipy_modules_after(code: str) -> set:
 
     src = Path(telespin.__file__).parents[1]
     probe = code + ("\nimport sys\n"
-                    "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+                    "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def _module_level_imports(tree):
+    """Names imported by the statements that run when the module is imported
+    (everything outside function bodies)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        stack.extend(ast.iter_child_nodes(node))
+
+
 class TestImportFootprint:
-    """Set-up loads numpy and scipy.special only; every other scipy
-    subpackage is imported by the function that calls it."""
+    """Set-up, dynamics and validate load no scipy at all; spectrum and
+    sweep import scipy.signal and scipy.optimize in the functions that call
+    them."""
 
     def test_setup(self, cfg_file):
         loaded = _scipy_modules_after(
             "import telespin.cli\n"
             "from telespin.config import load_config\n"
             f"load_config({str(cfg_file)!r}).resolve_ts()")
-        assert "scipy.special" in loaded
-        assert not loaded & {"scipy.integrate", "scipy.optimize", "scipy.signal",
-                             "scipy.stats"}
+        assert not loaded
 
     @pytest.mark.parametrize("extra", [["dynamics"], ["validate", "--paths", "100"]])
     def test_commands_without_peaks_or_envelopes(self, cfg_file, tmp_path, extra):
@@ -597,5 +622,23 @@ class TestImportFootprint:
                 *extra[1:]]
         loaded = _scipy_modules_after(
             f"from telespin.cli import main\nassert main({argv!r}) == 0")
-        assert "scipy.integrate" in loaded
-        assert not loaded & {"scipy.signal", "scipy.stats"}
+        assert not loaded
+
+    def test_setup_dynamics_validate_in_one_process(self, cfg_file, tmp_path):
+        common = ["--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        loaded = _scipy_modules_after(
+            "import telespin.cli\n"
+            "from telespin.config import load_config\n"
+            f"load_config({str(cfg_file)!r}).resolve_ts()\n"
+            f"assert telespin.cli.main({['dynamics', *common]!r}) == 0\n"
+            f"assert telespin.cli.main({['validate', *common, '--paths', '100']!r}) == 0")
+        assert not loaded
+
+    def test_no_module_level_scipy_import(self):
+        import telespin
+
+        for path in sorted(Path(telespin.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            scipy = [name for name in _module_level_imports(tree)
+                     if name == "scipy" or name.startswith("scipy.")]
+            assert not scipy, f"{path.name} imports {scipy} at module level"

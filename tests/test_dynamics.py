@@ -298,3 +298,49 @@ class TestFailFast:
             evolve_two_time(table, g1, g2, t2, "qrt+")
         assert f"|Y_1| = {size[k]:.6f} at t1 = {t1[k]:.6f}" in str(err.value)
         assert calls[0] < 0.1 * reference_calls
+
+
+class TestStepperFailuresMatchSolveIvp:
+    """Where the in-package stepper stops, scipy's RK45 stops too: at the
+    same first unphysical node, or with the same failed step."""
+
+    def test_single_time_breach_names_the_same_node(self, monkeypatch):
+        system = SystemSpec(1.0, v=1.0)
+        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 6.0)
+        original = type(table).single_time_at
+
+        def growing(self, t):
+            g11, *rest = original(self, t)
+            return (-g11, *rest)  # growth instead of decay
+
+        monkeypatch.setattr(type(table), "single_time_at", growing)
+        ref = reference_single_time(table, system.initial_sz)
+        size = np.abs(ref[0].real)
+        over = np.flatnonzero(size > 1.0 + 1e-6)
+        assert over.size and over[0] > 0
+        k = over[0]
+        with pytest.raises(IntegratorError) as err:
+            evolve_single_time(table, system.initial_sz)
+        assert str(err.value) == (
+            f"single-time solution violates |<sigma_z>| <= 1: "
+            f"|Re g1| = {size[k]:.9f} at t = {table.ts[k]:.6f}")
+
+    def test_too_small_step_fails_as_rk45_does(self):
+        calls = [0]
+
+        def blow_up(t, y):  # y' = y^2 leaves every bound at t = 1
+            calls[0] += 1
+            return y * y
+
+        ts = np.linspace(0.0, 2.0, 21)
+        y0 = np.array([1.0 + 0j])
+        sol = solve_ivp(blow_up, (ts[0], ts[-1]), y0, t_eval=ts, rtol=RTOL, atol=ATOL,
+                        method="RK45")
+        assert sol.status == -1
+        reference_calls, calls[0] = calls[0], 0
+        with pytest.raises(IntegratorError) as err:
+            telespin.dynamics._propagate(
+                blow_up, y0, ts, RTOL, ATOL, "blow-up integration",
+                lambda block: np.zeros(block.shape[1]), 1.0, None)
+        assert str(err.value) == f"blow-up integration failed: {sol.message}"
+        assert calls[0] == reference_calls
