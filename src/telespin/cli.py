@@ -9,62 +9,57 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, check_n_paths, load_config
+from .config import ConfigError, load_config
 from .dynamics import IntegratorError
 from .kernels import GridResolutionError
 from . import runner
 
+#: flag -> (the section.field it overrides, which is also its argparse dest,
+#: add_argument options); a command registers the flags of the fields it reads
+_OVERRIDES = {
+    "--mode": ("run.mode", {"choices": ["qrt", "qrt+", "both"]}),
+    "--s1-denominator": ("run.s1_denominator", {"choices": ["eta", "nu"]}),
+    "--power-mode": ("run.power_mode", {"choices": ["re", "abs2"]}),
+    "--workers": ("run.workers", {"type": int, "metavar": "N"}),
+    "--seed": ("noise.seed", {"type": int, "metavar": "N"}),
+    "--paths": ("run.n_paths", {"type": int, "metavar": "N"}),
+}
 
-def _add_common(sub):
-    sub.add_argument("--config", required=True, help="flat key-path config file")
-    sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--mode", choices=["qrt", "qrt+", "both"], help="propagation mode")
-    sub.add_argument("--seed", type=int, help="override noise.seed")
-    sub.add_argument("--workers", type=int, help="worker pool size")
-    sub.add_argument("--s1-denominator", choices=["eta", "nu"],
-                     help="dichotomous propagator S1 denominator variant")
-    sub.add_argument("--power-mode", choices=["re", "abs2"],
-                     help="spectrum estimator")
+#: command -> (help, the override flags of the fields its runner reads)
+_COMMANDS = {
+    "dynamics": ("propagate correlators, emit CSV series", "--mode --s1-denominator"),
+    "spectrum": ("absorption/emission spectra and peaks",
+                 "--mode --s1-denominator --power-mode"),
+    "sweep": ("rate/delta/peak surfaces over (nu, omega)",
+              "--s1-denominator --power-mode --workers"),
+    "validate": ("Monte Carlo oracle versus averaged equations",
+                 "--s1-denominator --seed --paths"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="telespin",
-        description="Two-time correlators of a telegraph-driven two-level "
-                    "system in a structured bath",
-    )
+    parser = argparse.ArgumentParser(prog="telespin", description=(
+        "Two-time correlators of a telegraph-driven two-level system in a structured bath"))
     subs = parser.add_subparsers(dest="command", required=True)
-    dyn = subs.add_parser("dynamics", help="propagate correlators, emit CSV series")
-    spec = subs.add_parser("spectrum", help="absorption/emission spectra and peaks")
-    swp = subs.add_parser("sweep", help="rate/delta/peak surfaces over (nu, omega)")
-    val = subs.add_parser("validate", help="Monte Carlo oracle versus averaged equations")
-    for sub in (dyn, spec, swp, val):
-        _add_common(sub)
-    dyn.add_argument("--dump-kernels", metavar="PATH",
-                     help="also dump the single-time kernel tables as CSV")
-    val.add_argument("--paths", type=int, help="number of Monte Carlo paths")
+    for command, (help_, flags) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_)
+        sub.add_argument("--config", required=True, help="flat key-path config file")
+        sub.add_argument("--out", default="out", help="output directory")
+        for flag in flags.split():
+            key, options = _OVERRIDES[flag]
+            sub.add_argument(flag, dest=key, help=f"override {key}", **options)
+        if command == "dynamics":
+            sub.add_argument("--dump-kernels", metavar="PATH",
+                             help="also dump the single-time kernel tables as CSV")
     return parser
-
-
-def _overrides(args) -> dict:
-    out = {}
-    if args.mode is not None:
-        out["run.mode"] = args.mode
-    if args.seed is not None:
-        out["noise.seed"] = args.seed
-    if args.workers is not None:
-        out["run.workers"] = args.workers
-    if args.s1_denominator is not None:
-        out["run.s1_denominator"] = args.s1_denominator
-    if args.power_mode is not None:
-        out["run.power_mode"] = args.power_mode
-    return out
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {key: value for key, value in vars(args).items()
+                 if "." in key and value is not None}
     try:
-        cfg = load_config(args.config, overrides=_overrides(args))
+        cfg = load_config(args.config, overrides=overrides)
         if args.command == "dynamics":
             runner.run_dynamics(cfg, args.out, dump_kernels=args.dump_kernels)
         elif args.command == "spectrum":
@@ -72,15 +67,10 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             runner.run_sweep(cfg, args.out)
         elif args.command == "validate":
-            if args.paths is not None:
-                check_n_paths(args.paths, "--paths")
-            report = runner.run_validate(cfg, args.out, n_paths=args.paths)
-            print(
-                f"validate: max standardized deviation = "
-                f"{report['max_std_dev']:.3f} "
-                f"({'PASS' if report['passed'] else 'FAIL'} at "
-                f"{report['threshold']})"
-            )
+            report = runner.run_validate(cfg, args.out)
+            verdict = "PASS" if report["passed"] else "FAIL"
+            print(f"validate: max standardized deviation = {report['max_std_dev']:.3f} "
+                  f"({verdict} at {report['threshold']})")
     except (ConfigError, GridResolutionError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,12 +38,6 @@ SCHEMA_VERSION = 1
 
 class ConfigError(ValueError):
     """Invalid configuration; message carries the offending field path."""
-
-
-def check_n_paths(n_paths: int, name: str = "run.n_paths") -> None:
-    """Reject a Monte Carlo path count below the oracle's floor."""
-    if n_paths < MIN_PATHS:
-        raise ConfigError(f"{name} must be >= {MIN_PATHS}, got {n_paths}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,8 @@ class RunConfig:
             raise ConfigError(f"run.pad_factor must be >= 1, got {self.pad_factor}")
         if self.workers < 1:
             raise ConfigError(f"run.workers must be >= 1, got {self.workers}")
-        check_n_paths(self.n_paths)
+        if self.n_paths < MIN_PATHS:
+            raise ConfigError(f"run.n_paths must be >= {MIN_PATHS}, got {self.n_paths}")
 
 
 @dataclass(frozen=True)
@@ -125,6 +120,14 @@ class ExperimentConfig:
     grid: GridConfig
     run: RunConfig = field(default_factory=RunConfig)
     sweep: SweepConfig | None = None
+
+    def __post_init__(self):
+        for name in ("nu", "omega_n") if self.sweep else ():
+            for value in getattr(self.sweep, name):
+                try:  # each sweep value must make a valid noise spec
+                    replace(self.noise, **{name: value})
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.{name}: {exc}") from exc
 
     def resolve_ts(self) -> np.ndarray:
         """Uniform grid [0, horizon] honoring the resolution guard; the node

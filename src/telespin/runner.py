@@ -235,7 +235,10 @@ def _openblas_thread_controls():
 
 @contextmanager
 def _single_blas_thread():
-    """Run the body with every OpenBLAS at one thread, then restore."""
+    """Run the body with every OpenBLAS at one thread, then restore; scipy's
+    copy is loaded first, or a process's first cell would load it unpinned."""
+    import scipy.linalg  # noqa: F401
+
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
     for _, put in controls:
@@ -267,14 +270,20 @@ _CELL_FIELDS = ("t2", "k", "k_p", "k_rms", "k_converged", "lam", "lam_w1",
 
 def run_sweep(cfg: ExperimentConfig, outdir) -> dict:
     if cfg.sweep is None:
-        raise ValueError("run_sweep requires a sweep section in the config")
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+        raise ConfigError("sweep: the config has no sweep section "
+                          "(sweep.nu and sweep.omega_n)")
     tasks = []
     for i, nu in enumerate(cfg.sweep.nu):
         for j, om in enumerate(cfg.sweep.omega_n):
-            noise = replace(cfg.noise, omega_n=om, nu=nu)
-            tasks.append((i, j, replace(cfg, noise=noise, sweep=None)))
+            cell = replace(cfg, noise=replace(cfg.noise, omega_n=om, nu=nu), sweep=None)
+            try:
+                cell.resolve_ts()  # every cell's grid.dt bound before any cell runs
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} in the sweep cell nu = {nu}, "
+                                  f"omega_n = {om}") from exc
+            tasks.append((i, j, cell))
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     if cfg.run.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.run.workers) as pool:
             results = list(pool.map(_cell_task, tasks))
@@ -282,10 +291,7 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> dict:
         results = [_cell_task(t) for t in tasks]
     results.sort(key=lambda r: (r[0], r[1]))
 
-    columns: dict = {"nu": [], "omega_n": [], "kubo": []}
-    for name in _CELL_FIELDS:
-        columns[name] = []
-    columns["status"] = []
+    columns = {name: [] for name in ("nu", "omega_n", "kubo", *_CELL_FIELDS, "status")}
     for i, j, cell in results:
         nu, om = cfg.sweep.nu[i], cfg.sweep.omega_n[j]
         columns["nu"].append(nu)
@@ -299,14 +305,13 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> dict:
     return {"rows": results, "file": outdir / "sweep.csv"}
 
 
-def run_validate(cfg: ExperimentConfig, outdir, n_paths: int | None = None) -> dict:
+def run_validate(cfg: ExperimentConfig, outdir) -> dict:
     """Monte Carlo oracle versus the averaged equations; JSON verdict."""
-    n_paths = cfg.run.n_paths if n_paths is None else n_paths
     table, series = compute_series(cfg, mode="qrt+")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     mc = monte_carlo(
-        table, series.t2, cfg.system, cfg.noise, n_paths=n_paths, mode="qrt+"
+        table, series.t2, cfg.system, cfg.noise, n_paths=cfg.run.n_paths, mode="qrt+"
     )
     stride = 2  # oracle output lives on coarse nodes
     exact = {
@@ -315,7 +320,7 @@ def run_validate(cfg: ExperimentConfig, outdir, n_paths: int | None = None) -> d
         "mp": series.qrt_plus[::stride, 4],
     }
     report = {
-        "n_paths": n_paths,
+        "n_paths": cfg.run.n_paths,
         "t2": series.t2,
         "s1_denominator": cfg.run.s1_denominator,
         "threshold": VALIDATION_THRESHOLD,
@@ -335,11 +340,11 @@ def run_validate(cfg: ExperimentConfig, outdir, n_paths: int | None = None) -> d
                 "exact_re": np.asarray(exact[key]).real,
                 "std_dev": dev,
             },
-            cfg.resolved_dict(correlator=key, n_paths=n_paths, t2=series.t2),
+            cfg.resolved_dict(correlator=key, t2=series.t2),
         )
     report["max_std_dev"] = worst
     report["passed"] = bool(worst < VALIDATION_THRESHOLD)
     (outdir / "validation.json").write_text(json.dumps(report, indent=2) + "\n",
                                             encoding="utf-8")
-    _write_config(cfg, outdir, n_paths=n_paths, t2=series.t2)
+    _write_config(cfg, outdir, t2=series.t2)
     return report

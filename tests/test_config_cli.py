@@ -1,6 +1,8 @@
+import argparse
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from telespin.cli import main
+from telespin.cli import build_parser, main
 from telespin.config import (SECTIONS, ConfigError, config_from_tree, load_config,
                              parse_flat)
 from telespin.csvio import read_csv, write_csv
@@ -350,6 +352,25 @@ class TestSweep:
         assert seen == [[1] * len(controls)] * 2
         assert after == [2] * len(controls)
 
+    def test_first_cell_pins_scipy_blas(self):
+        # in a fresh process scipy's OpenBLAS loads only inside the first
+        # cell's fits; the cell context must have pinned it already
+        import telespin
+
+        probe = (
+            "from telespin.runner import _openblas_thread_controls, _single_blas_thread\n"
+            "with _single_blas_thread():\n"
+            "    import scipy.optimize\n"
+            "    print([get() for get, _ in _openblas_thread_controls()])\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=str(Path(telespin.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True)
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        if not counts:
+            pytest.skip("no OpenBLAS library loaded")
+        assert counts == [1] * len(counts)
+
     def test_single_cell_matches_dynamics_pipeline(self, tmp_path):
         # 1x1 sweep equals the dynamics+analysis pipeline on the same config
         from telespin.analysis import fit_exponential
@@ -413,7 +434,11 @@ class TestValidateCommand:
         assert report["n_paths"] == 200
         assert set(report) >= {"max_std_dev_zz", "max_std_dev_pm",
                                "max_std_dev_mp", "passed", "threshold"}
-        assert (out / "validate_zz.csv").exists()
+        # the record shows the path count that ran, once
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        meta, _ = read_csv(out / "validate_zz.csv")
+        for record in (resolved, meta):
+            assert record["run.n_paths"] == 200 and "n_paths" not in record
 
 
 class TestPathCount:
@@ -425,7 +450,7 @@ class TestPathCount:
                    str(tmp_path / "val"), "--paths", paths])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "--paths" in err and "Traceback" not in err
+        assert "run.n_paths" in err and "Traceback" not in err
         assert not (tmp_path / "val").exists()
 
     def test_config_field_below_floor(self, tmp_path, capsys):
@@ -467,6 +492,102 @@ class TestConfigErrors:
         assert rc == 2
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("lines, field", [
+        ("sweep.nu = [0.0, 1.0]\nsweep.omega_n = [0.75]", "sweep.nu"),
+        ("sweep.nu = [1.0]\nsweep.omega_n = [-1.0]", "sweep.omega_n"),
+        # within the nu = 1 cell's bound, above the nu = 60 cell's (3.333e-4)
+        ("grid.dt = 0.0005\nsweep.nu = [1.0, 60.0]\nsweep.omega_n = [0.75]",
+         "grid.dt"),
+        ("", "sweep: the config has no sweep section"),
+    ], ids=["nu", "omega_n", "dt-bound", "no-section"])
+    def test_sweep_fails_before_any_cell(self, tmp_path, capsys, lines, field):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CFG + lines + "\n")
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+
+#: override flag -> (a value other than the default, the field it sets,
+#: the value recorded there)
+FLAG_VALUES = {
+    "--mode": ("qrt", "run.mode", "qrt"),
+    "--s1-denominator": ("nu", "run.s1_denominator", "nu"),
+    "--power-mode": ("abs2", "run.power_mode", "abs2"),
+    "--workers": ("2", "run.workers", 2),
+    "--seed": ("5", "noise.seed", 5),
+    "--paths": ("200", "run.n_paths", 200),
+}
+
+#: the override flags of each command: those of the fields its runner reads
+#: (--dump-kernels, dynamics only, is checked in TestCli)
+REGISTERED = {
+    "dynamics": {"--mode", "--s1-denominator"},
+    "spectrum": {"--mode", "--s1-denominator", "--power-mode"},
+    "sweep": {"--s1-denominator", "--power-mode", "--workers"},
+    "validate": {"--s1-denominator", "--seed", "--paths"},
+}
+
+
+class TestFlagMatrix:
+    """Each flag sets one section.field on the commands that read it, and
+    every other command rejects it before doing anything."""
+
+    @pytest.mark.parametrize("command", sorted(REGISTERED))
+    def test_flags_land_as_their_fields(self, tmp_path, command):
+        path = tmp_path / "run.cfg"
+        path.write_text(BASE_CFG + "sweep.nu = [1.0]\nsweep.omega_n = [0.75]\n")
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        for flag in sorted(REGISTERED[command]):
+            argv += [flag, FLAG_VALUES[flag][0]]
+        assert main(argv) == 0
+        resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text())
+        for flag in REGISTERED[command]:
+            _, key, value = FLAG_VALUES[flag]
+            assert resolved[key] == value, flag
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in sorted(REGISTERED)
+        for flag in sorted(FLAG_VALUES) if flag not in REGISTERED[command]])
+    def test_other_flags_rejected(self, cfg_file, tmp_path, capsys, command, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                  flag, FLAG_VALUES[flag][0]])
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_readme_command_line_matches_parser():
+    """README's "Command line" block lists each command's flags, with their
+    choices, exactly as build_parser registers them."""
+    import telespin
+
+    readme = (Path(telespin.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    documented: dict = {}
+    for line in block.strip().splitlines():
+        if line.startswith("telespin "):
+            command = line.split()[1]
+        documented[command] = documented.get(command, "") + " " + line
+    documented = {command: dict(re.findall(r"(--[a-z0-9-]+) ([^\s\]]+)", text))
+                  for command, text in documented.items()}
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    registered = {
+        command: {opt: action.choices for action in sub._actions
+                  for opt in action.option_strings if opt != "--help" and opt[1] == "-"}
+        for command, sub in subs.choices.items()
+    }
+    assert {c: set(flags) for c, flags in documented.items()} == {
+        c: set(flags) for c, flags in registered.items()}
+    for command, flags in registered.items():
+        for flag, choices in flags.items():
+            if choices:
+                assert documented[command][flag] == "|".join(choices), (command, flag)
 
 
 def _bad_values():
