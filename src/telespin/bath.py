@@ -14,8 +14,12 @@ exactly.  The exponents are
     Q2(t) = (1/2 pi) \\int J/w^2 coth(beta w/2) (1 - cos w t) dw,
 
 and the library uses their short-time forms Q1 = E_r t, Q2 = xi t^2 in
-closed form.  J and the defining integrals of E_r, Q1 and Q2 live in the
-tests, as quadrature references for those closed forms.
+closed form: Q1 is the phase and Q2 the decay of the factor exp(-Q2 + i Q1)
+that multiplies the memory kernels, and Q2 carries the positive sign so
+that e^{-Q2} decays, which positivity of xi requires.  The kernel table
+stores the two coefficients E_r and xi.  J and the defining integrals of
+E_r, Q1 and Q2 live in the tests, as quadrature references for those
+closed forms.
 
 xi needs the digamma function at one complex point.  It is evaluated here,
 in pure Python, by the branches and operation order of scipy.special.digamma
@@ -201,21 +205,3 @@ def xi_coefficient(bath: BathSpec) -> float:
     term = bath.kappa**2 * bath.omega0 / (math.pi * lam) * _digamma(z).imag
     return e_r / bath.beta + term
 
-
-def exponent_fn(bath: BathSpec):
-    """Vectorized (q1, q2) evaluator used by the kernel builders.
-
-    q1 is the phase and q2 the decay of the bath-correlation exponent;
-    ``exp(-q2 + i*q1)`` multiplies the memory kernels.  These are the
-    short-time forms Q1 = E_r t and Q2 = +xi t^2: the displayed short-time
-    decay is implemented with a positive sign so that e^{-Q2} decays, which
-    positivity of xi requires.
-    """
-    e_r = reorganization_energy(bath)
-    xi = xi_coefficient(bath)
-
-    def short(ts):
-        ts = np.asarray(ts, dtype=float)
-        return e_r * ts, xi * ts * ts
-
-    return short

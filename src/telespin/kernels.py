@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bath import Q2_SUPPORT_CUT, BathSpec, exponent_fn, support_cut_index, xi_coefficient
+from .bath import (Q2_SUPPORT_CUT, BathSpec, reorganization_energy, support_cut_index,
+                   xi_coefficient)
 from .noise import NoiseSpec, propagators
 
 #: grid step must resolve the fastest dynamical scale by this factor
@@ -55,7 +56,9 @@ def resolution_bound(xi: float, epsilon0: float, omega_n: float, nu: float) -> f
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Immutable kernel tables on a uniform grid (shareable across workers)."""
+    """Immutable kernel tables on a uniform grid: plain data, so a table
+    pickles and can be shipped to worker processes.  ``e_r`` and ``xi`` are
+    the bath exponent's coefficients, Q1 = e_r t and Q2 = xi t^2."""
 
     ts: np.ndarray
     dt: float
@@ -63,6 +66,8 @@ class KernelTable:
     v2: float
     nu: float
     omega_n: float
+    e_r: float
+    xi: float
     g11: np.ndarray
     g12: np.ndarray
     g21: np.ndarray
@@ -83,7 +88,6 @@ class KernelTable:
     d_p: np.ndarray = field(repr=False)
     d_m: np.ndarray = field(repr=False)
     m_cut: int = field(repr=False)
-    exponents: object = field(repr=False)
 
     @property
     def support_cut(self) -> float:
@@ -126,10 +130,10 @@ class KernelTable:
             return 0j, 0j, 0j, 0j
         # integrand support: e^{-Q2(s+u)} alive only for s+u < support_cut
         m = min(k, int(math.ceil((self.support_cut - s) / self.dt)))
-        us = self.ts[: m + 1]
-        q1, q2 = self.exponents(s + us)
+        x = s + self.ts[: m + 1]
+        q1, q2 = self.e_r * x, self.xi * x * x
         ef = np.exp(-q2 + 1j * q1)
-        rot = np.exp(1j * self.epsilon0 * (s + us))
+        rot = np.exp(1j * self.epsilon0 * x)
         fp = ef * rot
         fm = ef / rot
         w = np.full(m + 1, self.dt)
@@ -163,18 +167,17 @@ def build_single_time(
     dt = float(steps[0])
     if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
         raise ValueError("kernel grid must be uniform")
-    bound = resolution_bound(
-        xi_coefficient(bath), system.epsilon0, noise.omega_n, noise.nu
-    )
+    e_r = reorganization_energy(bath)
+    xi = xi_coefficient(bath)
+    bound = resolution_bound(xi, system.epsilon0, noise.omega_n, noise.nu)
     if dt > bound * (1.0 + 1e-9):
         raise GridResolutionError(
             f"grid step {dt:.3e} exceeds resolution bound {bound:.3e}"
         )
-    exponents = exponent_fn(bath)
 
     e0 = system.epsilon0
     v2 = system.v * system.v
-    q1, q2 = exponents(ts)
+    q1, q2 = e_r * ts, xi * ts * ts
     env = np.exp(-q2)
     kc = env * np.cos(q1)
     ks = env * np.sin(q1)
@@ -199,6 +202,8 @@ def build_single_time(
         v2=v2,
         nu=noise.nu,
         omega_n=noise.omega_n,
+        e_r=e_r,
+        xi=xi,
         g11=4.0 * v2 * cum(kc * cos_e * s0),
         g12=1j * 4.0 * v2 * cum(kc * sin_e * s1),
         g21=4.0 * v2 * cum(ks * sin_e * s0),
@@ -216,5 +221,4 @@ def build_single_time(
         d_p=ef * rot,
         d_m=ef * np.conj(rot),
         m_cut=m_cut,
-        exponents=exponents,
     )

@@ -104,33 +104,6 @@ class NoisePath:
         signs = self.initial_sign * (-1.0) ** np.arange(flips.size)
         object.__setattr__(self, "flip_cum", np.cumsum(segs * signs))
 
-    def signs_at(self, ts):
-        """alpha at each time (out-of-horizon access is an error)."""
-        out = self.signs_and_cumulative(ts)[0]
-        return out if out.ndim else float(out)
-
-    def cumulative(self, ts):
-        """Exact \\int_0^t alpha(z) dz at each time."""
-        out = self.signs_and_cumulative(ts)[1]
-        return out if out.ndim else float(out)
-
-    def signs_and_cumulative(self, ts):
-        """(alpha, \\int_0^t alpha) at each time, from one flip lookup."""
-        ts = np.asarray(ts, dtype=float)
-        self._check(ts)
-        k = np.searchsorted(self.flip_times, ts, side="right")
-        sign = self.initial_sign * np.where(k % 2 == 0, 1.0, -1.0)
-        if self.flip_times.size == 0:
-            return sign, self.initial_sign * ts
-        km = np.maximum(k - 1, 0)
-        base = np.where(k > 0, self.flip_cum[km], 0.0)
-        last_flip = np.where(k > 0, self.flip_times[km], 0.0)
-        return sign, base + sign * (ts - last_flip)
-
-    def _check(self, ts):
-        if np.any(ts < 0) or np.any(ts > self.horizon + 1e-12):
-            raise ValueError("time outside path horizon")
-
 
 def sample_path(noise: NoiseSpec, horizon: float, stream_index: int = 0) -> NoisePath:
     """Draw one path; fully determined by (noise.seed, stream_index).

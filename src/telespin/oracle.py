@@ -95,8 +95,8 @@ class _BlockNodes:
     flips: tuple
 
     def cum(self, rows, cols):
-        """W at ts[cols] of paths ``rows`` (broadcast together), by the
-        expression of ``NoisePath.signs_and_cumulative``."""
+        """W at ts[cols] of paths ``rows`` (broadcast together): the W at
+        the latest flip plus the sign times the time since that flip."""
         j = self.last[rows, cols]
         return self.w[j] + self.signs[rows, cols] * (self.ts[cols] - self.tau[j])
 

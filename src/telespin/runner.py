@@ -71,6 +71,14 @@ def _write_config(cfg, outdir, **extra):
                     encoding="utf-8")
 
 
+def _spectrum_and_peaks(cfg: ExperimentConfig, tau, y):
+    """Power spectrum of y(tau) and its peaks, as the run settings ask."""
+    spec = analysis.power_spectrum(tau, y, window=cfg.run.window,
+                                   pad_factor=cfg.run.pad_factor,
+                                   power_mode=cfg.run.power_mode)
+    return spec, analysis.detect_peaks(spec, prominence_frac=cfg.run.prominence)
+
+
 def compute_series(cfg: ExperimentConfig, mode=None):
     """Shared pipeline: table, single-time background (solved once and
     passed on), anchor, then the requested propagations."""
@@ -119,14 +127,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
     meta = cfg.resolved_dict(t2=series.t2, spectrum_mode=mode)
     report = {}
     for label, column in (("absorption", 4), ("emission", 2)):
-        spec = analysis.power_spectrum(
-            tau,
-            y[:, column],
-            window=cfg.run.window,
-            pad_factor=cfg.run.pad_factor,
-            power_mode=cfg.run.power_mode,
-        )
-        peaks = analysis.detect_peaks(spec, prominence_frac=cfg.run.prominence)
+        spec, peaks = _spectrum_and_peaks(cfg, tau, y[:, column])
         write_csv(
             outdir / f"{label}.csv",
             {"omega": spec.freq_grid, "power": spec.power},
@@ -190,16 +191,8 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
             except ValueError:
                 pass
     spectrum_source = y_corr[:, 4] if y_corr is not None else series.qrt[:, 4]
-    spec = analysis.power_spectrum(
-        t1 - series.t2,
-        spectrum_source,
-        window=cfg.run.window,
-        pad_factor=cfg.run.pad_factor,
-        power_mode=cfg.run.power_mode,
-    )
-    out["peaks_absorption"] = len(
-        analysis.detect_peaks(spec, prominence_frac=cfg.run.prominence)
-    )
+    _, peaks = _spectrum_and_peaks(cfg, t1 - series.t2, spectrum_source)
+    out["peaks_absorption"] = len(peaks)
     return out
 
 
@@ -250,17 +243,16 @@ def _single_blas_thread():
             put(n)
 
 
-def _cell_task(args):
+def _cell_task(cfg):
     """One sweep cell on single-threaded BLAS, so concurrent workers do not
     oversubscribe the cores and the fitted numbers (a threaded dot sums in
     another order) depend on neither the worker count nor the caller's
     BLAS setting."""
-    i, j, cfg = args
     try:
         with _single_blas_thread():
-            return i, j, sweep_cell(cfg)
+            return sweep_cell(cfg)
     except Exception as exc:  # recorded in-row, never dropped
-        return i, j, {"status": f"failed: {type(exc).__name__}: {exc}"}
+        return {"status": f"failed: {type(exc).__name__}: {exc}"}
 
 
 _CELL_FIELDS = ("t2", "k", "k_p", "k_rms", "k_converged", "lam", "lam_w1",
@@ -272,37 +264,35 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> dict:
     if cfg.sweep is None:
         raise ConfigError("sweep: the config has no sweep section "
                           "(sweep.nu and sweep.omega_n)")
-    tasks = []
-    for i, nu in enumerate(cfg.sweep.nu):
-        for j, om in enumerate(cfg.sweep.omega_n):
-            cell = replace(cfg, noise=replace(cfg.noise, omega_n=om, nu=nu), sweep=None)
-            try:
-                cell.resolve_ts()  # every cell's grid.dt bound before any cell runs
-            except ConfigError as exc:
-                raise ConfigError(f"{exc} in the sweep cell nu = {nu}, "
-                                  f"omega_n = {om}") from exc
-            tasks.append((i, j, cell))
+    cells = []
+    for nu, om in product(cfg.sweep.nu, cfg.sweep.omega_n):
+        cell = replace(cfg, noise=replace(cfg.noise, omega_n=om, nu=nu), sweep=None)
+        try:
+            cell.resolve_ts()  # every cell's grid.dt bound before any cell runs
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} in the sweep cell nu = {nu}, "
+                              f"omega_n = {om}") from exc
+        cells.append(cell)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.run.workers > 1:
+    if cfg.run.workers > 1:  # map keeps the cells' order
         with ProcessPoolExecutor(max_workers=cfg.run.workers) as pool:
-            results = list(pool.map(_cell_task, tasks))
+            rows = list(pool.map(_cell_task, cells))
     else:
-        results = [_cell_task(t) for t in tasks]
-    results.sort(key=lambda r: (r[0], r[1]))
+        rows = [_cell_task(cell) for cell in cells]
 
     columns = {name: [] for name in ("nu", "omega_n", "kubo", *_CELL_FIELDS, "status")}
-    for i, j, cell in results:
-        nu, om = cfg.sweep.nu[i], cfg.sweep.omega_n[j]
+    for cell, row in zip(cells, rows):
+        nu, om = cell.noise.nu, cell.noise.omega_n
         columns["nu"].append(nu)
         columns["omega_n"].append(om)
         columns["kubo"].append(om / nu)
         for name in _CELL_FIELDS:
-            columns[name].append(cell.get(name, float("nan")))
-        columns["status"].append(cell["status"])
+            columns[name].append(row.get(name, float("nan")))
+        columns["status"].append(row["status"])
     write_csv(outdir / "sweep.csv", columns, cfg.resolved_dict())
     _write_config(cfg, outdir)
-    return {"rows": results, "file": outdir / "sweep.csv"}
+    return {"rows": rows, "file": outdir / "sweep.csv"}
 
 
 def run_validate(cfg: ExperimentConfig, outdir) -> dict:

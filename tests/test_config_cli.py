@@ -590,6 +590,23 @@ def test_readme_command_line_matches_parser():
                 assert documented[command][flag] == "|".join(choices), (command, flag)
 
 
+def test_readme_config_loads_with_defaults(tmp_path):
+    """README's config block loads, and every optional value it shows but
+    noise.seed is its dataclass default, as the text under it says."""
+    import telespin
+
+    readme = (Path(telespin.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    block = next(b for b in readme.split("```") if b.strip().startswith("schema_version"))
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    cfg = load_config(path)
+    shown = parse_flat(block)
+    for section, cls in SECTIONS.items():
+        for f in (f for f in fields(cls) if f.default is not MISSING):
+            if f.name in shown.get(section, {}) and f"{section}.{f.name}" != "noise.seed":
+                assert getattr(getattr(cfg, section), f.name) == f.default, f.name
+
+
 def _bad_values():
     for section, cls in SECTIONS.items():
         for f in fields(cls):

@@ -1,9 +1,11 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from telespin import kernels
-from telespin.bath import BathSpec, exponent_fn, reorganization_energy, xi_coefficient
+from telespin.bath import BathSpec, reorganization_energy, xi_coefficient
 from telespin.dynamics import SystemSpec
 from telespin.kernels import (
     GridResolutionError,
@@ -11,6 +13,8 @@ from telespin.kernels import (
     resolution_bound,
 )
 from telespin.noise import NoiseSpec, propagators
+
+from test_bath import short_exponents
 
 HOT = BathSpec(2.0, 1.0, 0.5, 0.02)
 WARM = BathSpec(2.0, 1.0, 0.5, 1.0)
@@ -31,10 +35,10 @@ def make_table(bath, system, noise, horizon, refine=1.0, **kw):
 
 
 class TestElementary:
-    """The bath integrands that build_single_time forms from exponent_fn."""
+    """The bath integrands that build_single_time forms from E_r and xi."""
 
     def test_f_plus_at_zero(self):
-        q1, q2 = exponent_fn(WARM)(0.0)
+        q1, q2 = short_exponents(WARM, 0.0)
         env = np.exp(-q2)
         assert env * np.exp(1j * q1) == pytest.approx(1.0, abs=1e-15)  # f+
         assert env * np.cos(q1) == pytest.approx(1.0, abs=1e-15)       # cc
@@ -46,7 +50,7 @@ class TestElementary:
         assert np.all(table.g21 == 0.0)
 
     def test_cc_value_from_frozen_xi(self):
-        q1, q2 = exponent_fn(HOT)(1.0)
+        q1, q2 = short_exponents(HOT, 1.0)
         assert q1 == pytest.approx(reorganization_energy(HOT), rel=1e-15)
         assert q2 == pytest.approx(xi_coefficient(HOT), rel=1e-12)
         expected = np.exp(-xi_coefficient(HOT)) * np.cos(4.0) * np.cos(1.0)
@@ -89,7 +93,7 @@ class TestSingleTimeKernels:
 
     def test_boundedness(self):
         table = make_table(WARM, SystemSpec(1.0, v=1.0), NoiseSpec(0.75, 1.0), 6.0)
-        q1, q2 = table.exponents(table.ts)
+        q1, q2 = short_exponents(WARM, table.ts)
         from scipy.integrate import cumulative_trapezoid
 
         envelope = cumulative_trapezoid(np.exp(-q2), table.ts, initial=0.0)
@@ -127,11 +131,11 @@ class TestTwoTimeKernels:
         i2 = (len(table.ts) // 2 // 2) * 2
         t2 = float(table.ts[i2])
         e0 = self.system.epsilon0
-        exps = table.exponents
+        e_r, xi = reorganization_energy(WARM), xi_coefficient(WARM)
 
         def integrand(tau, t1, j, part):
-            q1, q2 = exps(np.array([t1 - tau]))
-            ef = np.exp(-q2[0] + 1j * (q1[0] + e0 * (t1 - tau)))
+            u = t1 - tau
+            ef = np.exp(-xi * u * u + 1j * (e_r * u + e0 * u))
             s0, s1 = propagators(t2 - tau, self.noise)
             s = s0 if j == 1 else s1
             val = ef * np.exp(1j * e0 * (t2 - tau)) * s
@@ -147,21 +151,11 @@ class TestTwoTimeKernels:
                 assert got.real == pytest.approx(re, rel=2e-6, abs=1e-6 * scale)
                 assert got.imag == pytest.approx(im, rel=2e-6, abs=1e-6 * scale)
 
-    def test_conjugation_with_real_elementary_pair(self, monkeypatch):
-        # E_f- = conj(E_f+) requires a vanishing Q1 phase; inject synthetic
-        # exponents with Q1 = 0 and check G41 = conj(G31) exactly (S0 real).
-        xi = xi_coefficient(WARM)
-
-        def synthetic(ts):
-            ts = np.asarray(ts, dtype=float)
-            return np.zeros_like(ts), xi * ts * ts
-
-        monkeypatch.setattr(kernels, "exponent_fn", lambda bath: synthetic)
-        ts = make_grid(WARM, self.system, self.noise, 6.0)
-        table = build_single_time(ts, WARM, self.system, self.noise)
-        assert table.exponents is synthetic
-        i2 = (len(ts) // 3 // 2) * 2
-        t2 = float(ts[i2])
+    def test_conjugation_with_real_elementary_pair(self):
+        # E_f- = conj(E_f+) requires a vanishing Q1 phase; inject Q1 = 0
+        # and check G41 = conj(G31) exactly (S0 real).
+        table = dataclasses.replace(self.table, e_r=0.0)
+        t2 = float(table.ts[(len(table.ts) // 3 // 2) * 2])
         for t1 in (t2, t2 + 0.5):
             g31, _, g41, _ = table.two_time_pair(t1, t2)
             assert g41 == pytest.approx(np.conj(g31), abs=1e-12)
@@ -169,6 +163,23 @@ class TestTwoTimeKernels:
     def test_time_order_enforced(self):
         with pytest.raises(ValueError):
             self.table.two_time_pair(1.0, 2.0)
+
+
+def test_table_pickles():
+    # plain data: a table ships to worker processes and comes back equal
+    table = make_table(BathSpec(2.0, 1.0, 0.5, 50.0), SystemSpec(0.0, v=1.0),
+                       NoiseSpec(0.75, 0.05), 8.0)
+    copy = pickle.loads(pickle.dumps(table))
+    for f in dataclasses.fields(table):
+        a, b = getattr(table, f.name), getattr(copy, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+    i2 = (len(table.ts) // 3 // 2) * 2
+    t2 = float(table.ts[i2])
+    for t1 in (t2, t2 + 0.5, float(table.ts[-1])):
+        assert copy.two_time_pair(t1, t2) == table.two_time_pair(t1, t2)
 
 
 def test_resolution_bound_scales():

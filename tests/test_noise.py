@@ -14,13 +14,29 @@ from telespin.noise import (
 S0_REF = 0.9771185696452489
 
 
+def signs_and_cumulative(path, ts):
+    """Reference lookup of a path: (alpha, \\int_0^t alpha) at each time,
+    from one search of the flips; out-of-horizon access is an error."""
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts < 0) or np.any(ts > path.horizon + 1e-12):
+        raise ValueError("time outside path horizon")
+    k = np.searchsorted(path.flip_times, ts, side="right")
+    sign = path.initial_sign * np.where(k % 2 == 0, 1.0, -1.0)
+    if path.flip_times.size == 0:
+        return sign, path.initial_sign * ts
+    km = np.maximum(k - 1, 0)
+    base = np.where(k > 0, path.flip_cum[km], 0.0)
+    last_flip = np.where(k > 0, path.flip_times[km], 0.0)
+    return sign, base + sign * (ts - last_flip)
+
+
 def exact_integral_on_refined_grid(path, a, b, dt=1e-4):
     """Independent left-sum on a grid refined with the exact flip times."""
     nodes = np.arange(a, b, dt)
     nodes = np.unique(np.concatenate([nodes, path.flip_times[
         (path.flip_times > a) & (path.flip_times < b)], [a, b]]))
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    return float(np.sum(path.signs_at(mids) * np.diff(nodes)))
+    return float(np.sum(signs_and_cumulative(path, mids)[0] * np.diff(nodes)))
 
 
 class TestPropagators:
@@ -44,7 +60,7 @@ class TestPropagators:
         vals = []
         for k in range(5000):
             p = sample_path(noise, 1.0 + 1e-9, k)
-            vals.append(np.exp(-1j * 0.25 * p.cumulative(1.0)))
+            vals.append(np.exp(-1j * 0.25 * signs_and_cumulative(p, 1.0)[1]))
         vals = np.asarray(vals)
         se = vals.real.std() / np.sqrt(len(vals))
         assert abs(vals.real.mean() - S0_REF) < 3.5 * se
@@ -97,7 +113,8 @@ class TestPathSampling:
         noise = NoiseSpec(0.5, 1.0, seed=12)
         t = 3.0
         signs = np.array(
-            [sample_path(noise, 4.0, k).signs_at(t) for k in range(10000)]
+            [signs_and_cumulative(sample_path(noise, 4.0, k), t)[0]
+             for k in range(10000)]
         )
         assert abs(signs.mean()) < 3.0 / np.sqrt(len(signs))
 
@@ -109,7 +126,8 @@ class TestPathSampling:
         prods = []
         for k in range(10000):
             p = sample_path(noise, t0 + lag + 0.1, k)
-            prods.append(p.signs_at(t0) * p.signs_at(t0 + lag))
+            prods.append(signs_and_cumulative(p, t0)[0]
+                         * signs_and_cumulative(p, t0 + lag)[0])
         prods = np.asarray(prods)
         se = prods.std() / np.sqrt(len(prods))
         assert abs(prods.mean() - np.exp(-1.0)) < 3 * se
@@ -132,7 +150,7 @@ class TestPathSampling:
 
 def integrate_path(path, a, b):
     """Oriented integral of alpha over [a, b] from the exact cumulative."""
-    return path.cumulative(b) - path.cumulative(a)
+    return signs_and_cumulative(path, b)[1] - signs_and_cumulative(path, a)[1]
 
 
 class TestIntegratePath:
@@ -173,7 +191,7 @@ class TestIntegratePath:
             noise = NoiseSpec(0.5, nu, seed=3)
             for k in range(20):
                 path = sample_path(noise, 40.0, k)
-                at_flips = path.cumulative(path.flip_times)
+                at_flips = signs_and_cumulative(path, path.flip_times)[1]
                 assert path.flip_cum.tobytes() == at_flips.tobytes()
         with pytest.raises(TypeError):
             NoisePath(flip_times=np.array([1.0]), initial_sign=1, horizon=2.0,

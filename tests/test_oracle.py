@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from telespin.bath import Q2_SUPPORT_CUT, BathSpec, exponent_fn, xi_coefficient
+from telespin.bath import Q2_SUPPORT_CUT, BathSpec, xi_coefficient
 import telespin.dynamics
 import telespin.oracle
 from telespin.dynamics import SystemSpec, assemble_generator
@@ -20,24 +20,23 @@ from telespin.oracle import (
     standardized_deviation,
 )
 
+from test_bath import short_exponents
 from test_dynamics import propagate
 from test_kernels import make_grid, make_table
+from test_noise import signs_and_cumulative
 
 HOT = BathSpec(2.0, 1.0, 0.5, 0.02)
 WARM = BathSpec(2.0, 1.0, 0.5, 1.0)
 COLD = BathSpec(2.0, 1.0, 0.5, 50.0)
 
 
-def gamma_along_path(i, times, path, bath, system, noise, dt=None,
-                     exponents=None):
+def gamma_along_path(i, times, path, bath, system, noise, dt=None):
     """Reference (slow, explicit) per-path kernel evaluation.
 
     i in 1..5 selects the kernel family; ``times`` is t for the single-time
     families and (t1, t2) for i in {3, 4}.  The block engine is checked
     against it.
     """
-    if exponents is None:
-        exponents = exponent_fn(bath)
     if dt is None:
         dt = resolution_bound(
             xi_coefficient(bath), system.epsilon0, noise.omega_n, noise.nu
@@ -52,8 +51,8 @@ def gamma_along_path(i, times, path, bath, system, noise, dt=None,
         n = max(2, int(round(t / dt)))
         taus = np.linspace(0.0, t, n + 1)
         u = t - taus
-        q1, q2 = exponents(u)
-        w = path.cumulative(t) - path.cumulative(taus)
+        q1, q2 = short_exponents(bath, u)
+        w = signs_and_cumulative(path, t)[1] - signs_and_cumulative(path, taus)[1]
         f = e0 * u + om * w
         env = np.exp(-q2)
         if i == 1:
@@ -69,8 +68,8 @@ def gamma_along_path(i, times, path, bath, system, noise, dt=None,
             return 0j
         n = max(2, int(round(t2 / dt)))
         taus = np.linspace(0.0, t2, n + 1)
-        q1, q2 = exponents(t1 - taus)
-        w = path.cumulative(t2) - path.cumulative(taus)
+        q1, q2 = short_exponents(bath, t1 - taus)
+        w = signs_and_cumulative(path, t2)[1] - signs_and_cumulative(path, taus)[1]
         f2 = e0 * (t2 - taus) + om * w
         sign = 1.0 if i == 3 else -1.0
         # deterministic e0 phase on (t1 - tau), oriented fluctuating phase
@@ -150,7 +149,7 @@ def lag_sum(ts, path, a, omega_n, m_cut):
     """Z_i = h sum_{m <= min(i, m_cut)} a[m] e^{i Omega (W_i - W_{i-m})}
     with trapezoid halves at m = 0 and at t = 0, summed lag by lag."""
     h = ts[1] - ts[0]
-    w = path.cumulative(ts)
+    w = signs_and_cumulative(path, ts)[1]
     m = np.arange(m_cut + 1)
     j = np.arange(len(ts))[:, None] - m
     weight = np.where(j >= 0, h, 0.0)
@@ -216,7 +215,7 @@ class TestFlipKernels:
         nodes = _path_node_arrays(list(cases.values()), self.ts)
         cols = np.arange(len(self.ts))
         for k, (name, path) in enumerate(cases.items()):
-            signs, cum = path.signs_and_cumulative(self.ts)
+            signs, cum = signs_and_cumulative(path, self.ts)
             assert np.array_equal(nodes.signs[k], signs), name
             assert np.array_equal(nodes.cum(k, cols), cum), name
 
@@ -252,7 +251,7 @@ class TestSupportCut:
         ts = make_grid(bath, system, noise, 8.0)
         table = build_single_time(ts, bath, system, noise)
         m_cut = table.m_cut
-        _, q2 = table.exponents(ts)
+        _, q2 = short_exponents(bath, ts)
         assert m_cut < len(ts) - 1
         assert np.all(q2[:m_cut] < Q2_SUPPORT_CUT)
         assert np.all(q2[m_cut:] >= Q2_SUPPORT_CUT)
@@ -267,7 +266,7 @@ class TestSupportCut:
         noise = NoiseSpec(0.75, 0.05)
         ts = make_grid(COLD, system, noise, 3.0)
         table = build_single_time(ts, COLD, system, noise)
-        _, q2 = table.exponents(ts)
+        _, q2 = short_exponents(COLD, ts)
         assert np.all(q2 < Q2_SUPPORT_CUT)
         assert table.m_cut == len(ts) - 1
         for seq in (table.a_c, table.a_s, table.d_p, table.d_m):
@@ -671,7 +670,8 @@ class TestPropagatorAdjudication:
         acc = np.empty(n, dtype=complex)
         for k in range(n):
             p = sample_path(noise, t + 1e-9, k)
-            acc[k] = p.signs_at(t) * np.exp(-1j * noise.omega_n * p.cumulative(t))
+            sign, w = signs_and_cumulative(p, t)
+            acc[k] = sign * np.exp(-1j * noise.omega_n * w)
         se = acc.imag.std() / np.sqrt(n)
         _, s1_eta = propagators(t, noise, s1_denominator="eta")
         _, s1_nu = propagators(t, noise, s1_denominator="nu")

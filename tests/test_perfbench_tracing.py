@@ -1,8 +1,11 @@
-"""The benchmark's tracer wraps package bindings by name; a refactor that
-drops or renames one must fail here, not only under ``--trace 1``."""
+"""The benchmark's tracer wraps package bindings by name, and its run
+script reads package names and output keys; a refactor that drops or
+renames one must fail here, not only in a benchmark run."""
 
 import importlib
+import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ import pytest
 import telespin.dynamics as dynamics
 from telespin import runner
 from telespin.bath import BathSpec
-from telespin.config import ExperimentConfig, GridConfig, RunConfig
+from telespin.config import ExperimentConfig, GridConfig, RunConfig, load_config
 from telespin.noise import NoiseSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +72,29 @@ def test_validate_records_path_count_on_oracle_span(tracing, tmp_path):
     metrics = tracing.layer_metrics([tracer.spans])
     assert metrics["oracle.paths_per_s"] > 0
     assert metrics["noise.sample_path_calls"] == 100
+
+
+def test_workload_profile_reads_what_runs_write(monkeypatch, tmp_path):
+    # every benchmark run calls run.py's workload_profile, and checks.py
+    # reads these validation.json keys: a refactor that drops one fails here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "schema_version = 1\nbath.kappa = 2.0\nbath.omega0 = 1.0\nbath.gamma = 0.5\n"
+        "bath.beta = 0.02\nnoise.omega_n = 0.75\nnoise.nu = 1.0\nsystem.epsilon0 = 1.0\n"
+        "grid.horizon = 6.0\ngrid.t2 = 2.0\nrun.n_paths = 100\n")
+    cfg = load_config(cfg_path)
+    runner.run_dynamics(cfg, tmp_path / "dynamics")
+    report = runner.run_validate(cfg, tmp_path / "validate")
+    profile = bench.workload_profile(cfg_path, tmp_path, bench.WORKLOADS["hot-pipeline"])
+    assert profile["t2"] == report["t2"]
+    assert 0 < profile["kernel_support_nodes"] < profile["N"]
+    stored = json.loads((tmp_path / "validate" / "validation.json").read_text())
+    for key in ("n_paths", "threshold", "s1_denominator", "t2", "max_std_dev", "passed"):
+        assert stored[key] == report[key], key
+    assert stored["n_paths"] == 100
+    assert stored["s1_denominator"] == "eta"
+    assert stored["passed"] == (stored["max_std_dev"] < stored["threshold"])
