@@ -10,12 +10,7 @@ average over explicit noise realizations.
 
 from .bath import BathSpec, reorganization_energy, xi_coefficient
 from .noise import NoisePath, NoiseSpec, propagators, sample_path
-from .kernels import (
-    GridResolutionError,
-    KernelTable,
-    build_single_time,
-    resolution_bound,
-)
+from .kernels import KernelTable, build_single_time, resolution_bound
 from .dynamics import (
     CorrelationSeries,
     IntegratorError,
@@ -26,14 +21,9 @@ from .dynamics import (
     evolve_single_time,
     evolve_two_time,
 )
-from .oracle import (
-    MCEstimate,
-    monte_carlo,
-    standardized_deviation,
-)
+from .oracle import MCEstimate, monte_carlo, standardized_deviation
 from .analysis import (
     DampedFit,
-    DeltaReport,
     ExpFit,
     Peak,
     SpectrumResult,

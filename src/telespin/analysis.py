@@ -60,14 +60,6 @@ class DampedFit:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    """Relative integral difference (percent) between two propagation modes."""
-
-    delta: float
-    correlator: str
-
-
 def power_spectrum(tau, series, window: str = "hann", pad_factor: int = 4,
                    power_mode: str = "re") -> SpectrumResult:
     """Discrete one-sided transform with zero padding.
@@ -306,7 +298,7 @@ def fit_damped_cosines(t, y) -> DampedFit:
                      degenerate=degenerate)
 
 
-def delta_measure(t1, series_qrt, series_qrt_plus, correlator: str = "") -> DeltaReport:
+def delta_measure(t1, series_qrt, series_qrt_plus) -> float:
     """Percentage difference of |c| integrals between the two modes.
 
     delta = 100 |I_qrt - I_qrt+| / I_qrt with I the trapezoid integral of
@@ -321,4 +313,4 @@ def delta_measure(t1, series_qrt, series_qrt_plus, correlator: str = "") -> Delt
     i_p = float(np.trapezoid(np.abs(cp), t1))
     if i_q < 1e-12:
         raise ValueError("delta undefined: reference integral below 1e-12")
-    return DeltaReport(delta=100.0 * abs((i_q - i_p) / i_q), correlator=correlator)
+    return 100.0 * abs((i_q - i_p) / i_q)

@@ -31,6 +31,7 @@ scipy at start-up.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -186,6 +187,7 @@ def reorganization_energy(bath: BathSpec) -> float:
     return bath.kappa**2 / bath.omega0
 
 
+@functools.cache
 def xi_coefficient(bath: BathSpec) -> float:
     """Curvature of Q2 at short times: Q2(t) -> xi t^2.
 
@@ -194,6 +196,7 @@ def xi_coefficient(bath: BathSpec) -> float:
            * Im psi(1 + beta (gamma + i sqrt(omega0^2 - gamma^2)) / (2 pi))
 
     with psi the digamma function.  Equals (1/4 pi) \\int J(w) coth(beta w/2) dw.
+    Cached per (frozen, hashable) bath: a run evaluates the digamma once.
     """
     if bath.gamma >= bath.omega0:
         raise ValueError("xi_coefficient requires gamma < omega0")

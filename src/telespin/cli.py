@@ -10,14 +10,13 @@ import argparse
 import sys
 
 from .config import ConfigError, load_config
-from .dynamics import IntegratorError
-from .kernels import GridResolutionError
+from .dynamics import MODES, IntegratorError
 from . import runner
 
 #: flag -> (the section.field it overrides, which is also its argparse dest,
 #: add_argument options); a command registers the flags of the fields it reads
 _OVERRIDES = {
-    "--mode": ("run.mode", {"choices": ["qrt", "qrt+", "both"]}),
+    "--mode": ("run.mode", {"choices": MODES}),
     "--s1-denominator": ("run.s1_denominator", {"choices": ["eta", "nu"]}),
     "--power-mode": ("run.power_mode", {"choices": ["re", "abs2"]}),
     "--workers": ("run.workers", {"type": int, "metavar": "N"}),
@@ -71,7 +70,7 @@ def main(argv=None) -> int:
             verdict = "PASS" if report["passed"] else "FAIL"
             print(f"validate: max standardized deviation = {report['max_std_dev']:.3f} "
                   f"({verdict} at {report['threshold']})")
-    except (ConfigError, GridResolutionError, FileNotFoundError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except IntegratorError as exc:

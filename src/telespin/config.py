@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from .bath import BathSpec, xi_coefficient
-from .dynamics import SystemSpec
+from .dynamics import MODES, SystemSpec
 from .kernels import resolution_bound
 from .noise import NoiseSpec
 from .oracle import MIN_PATHS
@@ -71,8 +71,8 @@ class RunConfig:
     n_paths: int = 10000
 
     def __post_init__(self):
-        if self.mode not in ("qrt", "qrt+", "both"):
-            raise ConfigError(f"run.mode must be qrt|qrt+|both, got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"run.mode must be {'|'.join(MODES)}, got {self.mode!r}")
         if self.window not in ("none", "hann"):
             raise ConfigError(f"run.window must be none|hann, got {self.window!r}")
         if self.power_mode not in ("re", "abs2"):

@@ -39,10 +39,6 @@ from .noise import NoiseSpec, propagators
 GRID_GUARD_FACTOR = 0.02
 
 
-class GridResolutionError(ValueError):
-    """The grid step does not resolve the fastest dynamical scale."""
-
-
 def resolution_bound(xi: float, epsilon0: float, omega_n: float, nu: float) -> float:
     """Largest admissible grid step: 0.02 min(1/(e0+Omega), 1/sqrt(xi), 1/nu)."""
     scales = []
@@ -171,7 +167,7 @@ def build_single_time(
     xi = xi_coefficient(bath)
     bound = resolution_bound(xi, system.epsilon0, noise.omega_n, noise.nu)
     if dt > bound * (1.0 + 1e-9):
-        raise GridResolutionError(
+        raise ValueError(
             f"grid step {dt:.3e} exceeds resolution bound {bound:.3e}"
         )
 

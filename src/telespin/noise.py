@@ -82,15 +82,14 @@ def propagators(t, noise: NoiseSpec, s1_denominator: str = "eta"):
 
 @dataclass(frozen=True)
 class NoisePath:
-    """One telegraph realization on [0, horizon].
+    """One telegraph realization.
 
     alpha(t) starts at initial_sign and changes sign at each flip time;
-    flip_times is strictly increasing within (0, horizon).
+    flip_times is positive and strictly increasing.
     """
 
     flip_times: np.ndarray
     initial_sign: int
-    horizon: float
     #: \int_0^t alpha at each flip time t, set from the flips
     flip_cum: np.ndarray = field(init=False, repr=False)
 
@@ -99,14 +98,15 @@ class NoisePath:
             raise ValueError("initial_sign must be +1 or -1")
         flips = np.asarray(self.flip_times, dtype=float)
         if flips.size and (np.any(np.diff(flips) <= 0) or flips[0] <= 0):
-            raise ValueError("flip_times must be strictly increasing in (0, horizon)")
+            raise ValueError("flip_times must be positive and strictly increasing")
         segs = np.diff(np.concatenate(([0.0], flips)))
         signs = self.initial_sign * (-1.0) ** np.arange(flips.size)
         object.__setattr__(self, "flip_cum", np.cumsum(segs * signs))
 
 
 def sample_path(noise: NoiseSpec, horizon: float, stream_index: int = 0) -> NoisePath:
-    """Draw one path; fully determined by (noise.seed, stream_index).
+    """Draw one path with its flips in (0, horizon); fully determined by
+    (noise.seed, stream_index).
 
     Uses a counter-based generator keyed on the pair, so any subset of
     streams can be produced independently and in any order.
@@ -128,9 +128,5 @@ def sample_path(noise: NoiseSpec, horizon: float, stream_index: int = 0) -> Nois
         total = times[-1]
     flips = np.concatenate(chunks)
     flips = flips[flips < horizon]
-    return NoisePath(
-        flip_times=flips,
-        initial_sign=initial_sign,
-        horizon=horizon,
-    )
+    return NoisePath(flip_times=flips, initial_sign=initial_sign)
 

@@ -13,9 +13,11 @@ orientations are fixed by requiring the dichotomous-noise average to
 reproduce the noise-averaged generator, which the validation suite checks
 against closed-form propagator moments and the averaged dynamics.
 
-The oracle reads the run's kernel table: its grid, its bath lag sequences
-and its support cut m_cut, so oracle and averaged solver share one set of
-bath kernels.
+The kernel table is the oracle's only source of physics: it reads the
+grid, e0, V^2, the noise amplitude and rate, the bath lag sequences and the
+support cut m_cut from it, so oracle and averaged solver run one set of
+parameters and bath kernels, and a block needs only the table, the anchor,
+the initial sigma_z and the seed.
 
 Per-path single-time kernel series are lag sums of fixed kernel sequences
 against e^{i Omega (W[i] - W[i-m])} (W = cumulative noise integral) over the
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import sample_path
+from .noise import NoiseSpec, sample_path
 
 #: paths per reduction block; fixed so results never depend on scheduling
 BLOCK = 64
@@ -66,6 +68,9 @@ _P_RANGE = (np.exp(-300.0), np.exp(300.0))
 #: fewest paths an ensemble may hold
 MIN_PATHS = 100
 
+#: standard-error floor of ``standardized_deviation``
+SE_FLOOR = 1e-7
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -73,7 +78,6 @@ class MCEstimate:
 
     mean: np.ndarray
     se_re: np.ndarray
-    n_paths: int
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def _path_node_arrays(paths, ts):
     return _BlockNodes(ts, signs, last, tau, w, flips)
 
 
-def _single_time_kernels(nodes, a_c, a_s, omega_n, m_cut):
+def _single_time_kernels(nodes, table):
     """Z_c and Im Z_s with trapezoid weights; the per-path kernels follow
     as G1 = 4 V^2 Re Z_c, G2 = 4 V^2 Im Z_s, G5 = 2 V^2 conj(Z_c).
 
@@ -143,6 +147,7 @@ def _single_time_kernels(nodes, a_c, a_s, omega_n, m_cut):
     telescope into the sum over the segments in the window.  W is looked up
     only in the flip windows and on the first m_cut + 1 nodes."""
     ts, signs = nodes.ts, nodes.signs
+    omega_n, m_cut = table.omega_n, table.m_cut
     b, n = signs.shape
     h = ts[1] - ts[0]
     width = m_cut + 1
@@ -179,12 +184,14 @@ def _single_time_kernels(nodes, a_c, a_s, omega_n, m_cut):
                   part(phase_old * span_old - phase_new * span_new).ravel())
         return z
 
-    return z_of(a_c, np.asarray), z_of(a_s, np.imag)
+    return z_of(table.a_c, np.asarray), z_of(table.a_s, np.imag)
 
 
-def _two_time_kernels(nodes, d_p, d_m, epsilon0, omega_n, v2, i2, m_cut):
+def _two_time_kernels(nodes, table, i2):
     """G3, G4 on node indices [i2, min(n-1, i2+m_cut)] for each path."""
     ts = nodes.ts
+    epsilon0, omega_n, v2, m_cut = (table.epsilon0, table.omega_n, table.v2,
+                                    table.m_cut)
     b, n = nodes.signs.shape
     i_hi = min(n - 1, i2 + m_cut)
     i_idx = np.arange(i2, i_hi + 1)
@@ -200,8 +207,8 @@ def _two_time_kernels(nodes, d_p, d_m, epsilon0, omega_n, v2, i2, m_cut):
     w[-1] = 0.5 * h
     m = i_idx[None, :] - j_idx[:, None]
     valid = m <= m_cut  # m >= 0 holds by construction
-    dmat_p = np.where(valid, d_p[np.minimum(m, m_cut)], 0.0)
-    dmat_m = np.where(valid, d_m[np.minimum(m, m_cut)], 0.0)
+    dmat_p = np.where(valid, table.d_p[np.minimum(m, m_cut)], 0.0)
+    dmat_m = np.where(valid, table.d_m[np.minimum(m, m_cut)], 0.0)
     rows = np.arange(b)[:, None]
     r = np.exp(-1j * epsilon0 * ts[j_idx])[None, :] * np.exp(
         -1j * omega_n * nodes.cum(rows, j_idx)
@@ -380,30 +387,25 @@ def _run_two_time(ts, i2, signs, gam1, gam2, gam5, g3, g4, epsilon0,
     return zz, pm, mp
 
 
-def _evolve_block(paths, table, i2, system, noise, mode):
+def _evolve_block(paths, table, i2, initial_sz, mode):
     """sigma_z on the coarse nodes and the two-time zz, pm, mp from the
     anchor node i2 on, per path of the block."""
-    ts, m_cut, v2 = table.ts, table.m_cut, table.v2
+    ts, v2 = table.ts, table.v2
     nodes = _path_node_arrays(paths, ts)
-    z_c, z_s = _single_time_kernels(
-        nodes, table.a_c, table.a_s, noise.omega_n, m_cut
-    )
+    z_c, z_s = _single_time_kernels(nodes, table)
     gam1 = 4.0 * v2 * z_c.real
     gam2 = 4.0 * v2 * z_s
     gam5 = 2.0 * v2 * np.conj(z_c[:, i2:])
     del z_c, z_s
-    g_series, a_steps = _run_sigma_z(ts, gam1, gam2, system.initial_sz)
+    g_series, a_steps = _run_sigma_z(ts, gam1, gam2, initial_sz)
     g3 = g4 = None
     if mode == "qrt+":
-        g3, g4 = _two_time_kernels(
-            nodes, table.d_p, table.d_m, table.epsilon0, noise.omega_n, v2,
-            i2, m_cut,
-        )
+        g3, g4 = _two_time_kernels(nodes, table, i2)
     signs = nodes.signs
     del nodes
     zz, pm, mp = _run_two_time(
         ts, i2, signs, gam1, gam2, gam5, g3, g4, table.epsilon0,
-        noise.omega_n, g_series, a_steps,
+        table.omega_n, g_series, a_steps,
     )
     return g_series, zz, pm, mp
 
@@ -411,20 +413,16 @@ def _evolve_block(paths, table, i2, system, noise, mode):
 def _estimate(sums, m2_re, n):
     """Mean and standard error from the sum over n paths and the sum of
     squared deviations of the real part from the mean."""
-    return MCEstimate(
-        mean=sums / n,
-        se_re=np.sqrt(m2_re / max(n - 1, 1) / n),
-        n_paths=n,
-    )
+    return MCEstimate(mean=sums / n, se_re=np.sqrt(m2_re / max(n - 1, 1) / n))
 
 
-def _block_sums(paths, table, i2, system, noise, mode):
+def _block_sums(paths, table, i2, initial_sz, mode):
     """For sz, zz, pm and mp in turn: the sum over one block's paths and the
     sum of squared deviations of the real part from the block mean.  The
     per-path series are freed on return."""
     n = len(paths)
     sums = []
-    for arr in _evolve_block(paths, table, i2, system, noise, mode):
+    for arr in _evolve_block(paths, table, i2, initial_sz, mode):
         total = arr.sum(axis=0)
         dev = arr.real - total.real / n
         np.square(dev, out=dev)
@@ -444,9 +442,11 @@ def _merge(acc, n_acc, blk, n_blk):
     return out
 
 
-def monte_carlo(table, t2, system, noise, n_paths, mode="qrt+"):
-    """Ensemble means and standard errors of the four correlators on the
-    grid and bath kernels of ``table``, from the anchor t2, an even node.
+def monte_carlo(table, t2, initial_sz, seed, n_paths, mode="qrt+"):
+    """Ensemble means and standard errors of the four correlators of the
+    run tabulated in ``table``, from the anchor t2, an even node, and
+    <sigma_z(0)> = initial_sz; paths are sampled with ``seed`` at the
+    table's noise amplitude and rate.
 
     Results are bit-identical for a fixed (seed, n_paths) regardless of how
     the work is scheduled: path p always uses stream index p, blocks hold a
@@ -462,12 +462,13 @@ def monte_carlo(table, t2, system, noise, n_paths, mode="qrt+"):
     if i2 % 2:
         raise ValueError("t2 must fall on a coarse output node")
     horizon = float(ts[-1])
+    noise = NoiseSpec(table.omega_n, table.nu, seed)
 
     totals = None
     for start in range(0, n_paths, BLOCK):
         stop = min(n_paths, start + BLOCK)
         paths = [sample_path(noise, horizon, s) for s in range(start, stop)]
-        sums = _block_sums(paths, table, i2, system, noise, mode)
+        sums = _block_sums(paths, table, i2, initial_sz, mode)
         totals = sums if totals is None else _merge(
             totals, start, sums, stop - start
         )
@@ -480,12 +481,12 @@ def monte_carlo(table, t2, system, noise, n_paths, mode="qrt+"):
     return out
 
 
-def standardized_deviation(estimate: MCEstimate, exact, se_floor=1e-7):
+def standardized_deviation(estimate: MCEstimate, exact):
     """Pointwise |MC - exact| / SE on the real part.
 
-    The floor on SE covers zero-variance points (equal-time anchors,
+    The floor SE_FLOOR on SE covers zero-variance points (equal-time anchors,
     degenerate ensembles), where the two pipelines still differ by their
     integration schemes at the ~1e-8 level."""
     exact = np.asarray(exact)
-    se = np.maximum(estimate.se_re, se_floor)
+    se = np.maximum(estimate.se_re, SE_FLOOR)
     return np.abs(estimate.mean.real - exact.real) / se

@@ -184,10 +184,9 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
         out[label] = float("nan")
         if y_corr is not None:
             try:
-                rep = analysis.delta_measure(
-                    t1, series.qrt[:, col], y_corr[:, col], label
+                out[label] = analysis.delta_measure(
+                    t1, series.qrt[:, col], y_corr[:, col]
                 )
-                out[label] = rep.delta
             except ValueError:
                 pass
     spectrum_source = y_corr[:, 4] if y_corr is not None else series.qrt[:, 4]
@@ -300,9 +299,8 @@ def run_validate(cfg: ExperimentConfig, outdir) -> dict:
     table, series = compute_series(cfg, mode="qrt+")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    mc = monte_carlo(
-        table, series.t2, cfg.system, cfg.noise, n_paths=cfg.run.n_paths, mode="qrt+"
-    )
+    mc = monte_carlo(table, series.t2, cfg.system.initial_sz, cfg.noise.seed,
+                     n_paths=cfg.run.n_paths, mode="qrt+")
     stride = 2  # oracle output lives on coarse nodes
     exact = {
         "zz": series.qrt_plus[::stride, 0],

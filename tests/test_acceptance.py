@@ -75,8 +75,8 @@ class TestA2OracleEquivalence:
     def test_criterion(self):
         cfg = make_cfg(HOT, eps0=1.0, nu=1.0, omega=0.75, horizon=40.0)
         table, series = compute_series(cfg, mode="qrt+")
-        mc = ts.monte_carlo(table, series.t2, cfg.system, cfg.noise, 10000,
-                            mode="qrt+")
+        mc = ts.monte_carlo(table, series.t2, cfg.system.initial_sz,
+                            cfg.noise.seed, 10000, mode="qrt+")
         exact = {
             "zz": series.qrt_plus[::2, 0],
             "pm": series.qrt_plus[::2, 2],
@@ -163,10 +163,10 @@ class TestA5DeltaBoundHighTemperature:
                 _, series = compute_series(cfg, mode="both")
                 deltas = {}
                 for label, col in (("zz", 0), ("pm", 2), ("mp", 4)):
-                    rep = ts.delta_measure(series.t1, series.qrt[:, col],
-                                           series.qrt_plus[:, col], label)
-                    deltas[label] = rep.delta
-                    worst = max(worst, rep.delta)
+                    delta = ts.delta_measure(series.t1, series.qrt[:, col],
+                                             series.qrt_plus[:, col])
+                    deltas[label] = delta
+                    worst = max(worst, delta)
                 rows.append(f"eps0={eps0} nu={nu}: "
                             + ", ".join(f"D_{k}={v:.3f}" for k, v in deltas.items()))
         ok = worst < 0.25
@@ -361,8 +361,8 @@ class TestA8NumericalHygiene:
         i2 = int(round(2.0 / (grid[1] - grid[0])))
         t2 = float(grid[i2 + i2 % 2])
         table = ts.build_single_time(grid, cfg.bath, cfg.system, cfg.noise)
-        mc1 = ts.monte_carlo(table, t2, cfg.system, cfg.noise, 128)
-        mc2 = ts.monte_carlo(table, t2, cfg.system, cfg.noise, 128)
+        mc1 = ts.monte_carlo(table, t2, cfg.system.initial_sz, cfg.noise.seed, 128)
+        mc2 = ts.monte_carlo(table, t2, cfg.system.initial_sz, cfg.noise.seed, 128)
         same_mc = all(np.array_equal(mc1[k].mean, mc2[k].mean)
                       for k in ("zz", "pm", "mp", "sz"))
         assert verdict("A8e", same_sweep and same_mc,

@@ -243,14 +243,12 @@ class TestDeltaMeasure:
     def test_identical(self):
         t = np.linspace(0.0, 10.0, 200)
         c = np.exp(-0.3 * t) * np.exp(1j * t)
-        assert delta_measure(t, c, c).delta == 0.0
+        assert delta_measure(t, c, c) == 0.0
 
     def test_scaled_by_ten_percent(self):
         t = np.linspace(0.0, 10.0, 200)
         c = np.exp(-0.3 * t) * np.exp(1j * t)
-        rep = delta_measure(t, c, 1.1 * c, "zz")
-        assert rep.delta == pytest.approx(10.0, abs=1e-9)
-        assert rep.correlator == "zz"
+        assert delta_measure(t, c, 1.1 * c) == pytest.approx(10.0, abs=1e-9)
 
     @given(scale=st.floats(0.01, 100.0))
     @settings(max_examples=40, deadline=None)
@@ -258,8 +256,8 @@ class TestDeltaMeasure:
         t = np.linspace(0.0, 10.0, 200)
         a = np.exp(-0.3 * t) * np.exp(1j * t)
         b = np.exp(-0.35 * t) * np.exp(0.9j * t)
-        base = delta_measure(t, a, b).delta
-        scaled = delta_measure(t, scale * a, scale * b).delta
+        base = delta_measure(t, a, b)
+        scaled = delta_measure(t, scale * a, scale * b)
         assert scaled == pytest.approx(base, rel=1e-10)
 
     def test_undefined_reference(self):

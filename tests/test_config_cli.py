@@ -422,6 +422,36 @@ class TestOneBackgroundSolve:
         assert len(solves) == 1
 
 
+class TestDigammaOncePerBath:
+    """xi is cached per bath, so a run evaluates the digamma once however
+    many cells, grids and kernel tables it resolves."""
+
+    @pytest.mark.parametrize("command, extra", [
+        pytest.param("dynamics", "", id="dynamics"),
+        pytest.param("sweep", "sweep.nu = [1.0]\nsweep.omega_n = [0.5, 1.0]\n",
+                     id="sweep"),
+    ])
+    def test_one_digamma_per_run(self, tmp_path, monkeypatch, command, extra):
+        import telespin.bath as bath
+
+        calls = []
+        original = bath._digamma
+
+        def counting(z):
+            calls.append(z)
+            return original(z)
+
+        monkeypatch.setattr(bath, "_digamma", counting)
+        bath.xi_coefficient.cache_clear()
+        path = tmp_path / "run.cfg"
+        path.write_text(BASE_CFG + extra)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--workers", "1"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+
 class TestValidateCommand:
     def test_small_validation_run(self, tmp_path):
         path = tmp_path / "v.cfg"
@@ -588,6 +618,27 @@ def test_readme_command_line_matches_parser():
         for flag, choices in flags.items():
             if choices:
                 assert documented[command][flag] == "|".join(choices), (command, flag)
+
+
+def test_readme_library_sketch_matches_api():
+    """Every ts.<name>(...) call in README's library sketch binds to the
+    signature of telespin.<name>, so the sketch cannot drift from the API."""
+    import inspect
+
+    import telespin
+
+    readme = (Path(telespin.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library sketch", 1)[1].split("```python", 1)[1]
+    calls = [node for node in ast.walk(ast.parse(block.split("```", 1)[0]))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "ts"]
+    assert len(calls) > 10
+    for call in calls:
+        signature = inspect.signature(getattr(telespin, call.func.attr))
+        try:
+            signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"README sketch line {call.lineno}, ts.{call.func.attr}: {exc}")
 
 
 def test_readme_config_loads_with_defaults(tmp_path):

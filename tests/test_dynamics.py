@@ -17,7 +17,7 @@ from telespin.dynamics import (
     evolve_two_time,
 )
 from telespin.kernels import build_single_time
-from telespin.noise import NoiseSpec
+from telespin.noise import NoiseSpec, propagators
 
 from test_kernels import make_grid, make_table
 
@@ -38,6 +38,7 @@ def propagate(table, system, mode, t2=None, rtol=RTOL, atol=ATOL):
 
 
 HOT = BathSpec(2.0, 1.0, 0.5, 0.02)
+WARM = BathSpec(2.0, 1.0, 0.5, 1.0)
 COLD = BathSpec(2.0, 1.0, 0.5, 50.0)
 
 
@@ -186,6 +187,27 @@ class TestEvolveTwoTime:
         a = propagate(table, system, "qrt+", t2)
         b = propagate(table, system, "qrt+", t2, rtol=5e-9, atol=5e-11)
         assert np.max(np.abs(a.qrt_plus[:, 0].real - b.qrt_plus[:, 0].real)) < 1e-5
+
+    # (1, 0.5) is the narrowing point 2 Omega = nu
+    @pytest.mark.parametrize("nu, omega_n", [(1.0, 0.25), (1.0, 0.5),
+                                             (1.0, 2.0), (0.05, 0.75)])
+    def test_kubo_anderson_closed_form(self, nu, omega_n):
+        # at V = 0 every kernel vanishes and, in both modes, the coherences
+        # are the Kubo-Anderson moments of a spin in telegraph noise, which
+        # do not depend on the signs the S1 kernels carry
+        sz = 0.4
+        system = SystemSpec(1.0, v=0.0, initial_sz=sz)
+        noise = NoiseSpec(omega_n, nu)
+        table = make_table(WARM, system, noise, 12.0)
+        series = propagate(table, system, "both", node_near(table, 2.0))
+        tau = series.t1 - series.t2
+        s0, s1 = propagators(tau, noise)
+        up = (1.0 + sz) / 2.0 * np.exp(1j * system.epsilon0 * tau)
+        down = (1.0 - sz) / 2.0 * np.exp(-1j * system.epsilon0 * tau)
+        expected = np.column_stack([np.ones_like(tau), np.zeros_like(tau),
+                                    up * s0, -up * s1, down * s0, down * s1])
+        for y in (series.qrt, series.qrt_plus):
+            assert np.max(np.abs(y - expected)) < 1e-7
 
     def test_exponential_shape_low_temperature(self):
         # slow-noise unbiased cold regime decays near-exponentially

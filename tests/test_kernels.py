@@ -7,11 +7,7 @@ from scipy.integrate import quad
 
 from telespin.bath import BathSpec, reorganization_energy, xi_coefficient
 from telespin.dynamics import SystemSpec
-from telespin.kernels import (
-    GridResolutionError,
-    build_single_time,
-    resolution_bound,
-)
+from telespin.kernels import build_single_time, resolution_bound
 from telespin.noise import NoiseSpec, propagators
 
 from test_bath import short_exponents
@@ -104,7 +100,7 @@ class TestSingleTimeKernels:
         system = SystemSpec(1.0)
         noise = NoiseSpec(0.75, 1.0)
         ts = np.linspace(0.0, 4.0, 101)  # far too coarse for xi = 200
-        with pytest.raises(GridResolutionError):
+        with pytest.raises(ValueError, match="resolution bound"):
             build_single_time(ts, HOT, system, noise)
 
 

@@ -87,10 +87,11 @@ def even_anchor(ts, t):
     return float(ts[i])
 
 
-def single_path(path, table, t2, system, noise, mode="qrt+"):
-    """sz, zz, pm, mp along one path: the block engine on a block of one."""
-    sz, zz, pm, mp = _evolve_block([path], table, table.node_index(t2),
-                                   system, noise, mode)
+def single_path(path, table, t2, mode="qrt+"):
+    """sz, zz, pm, mp along one path from sz(0) = 1: the block engine on a
+    block of one."""
+    sz, zz, pm, mp = _evolve_block([path], table, table.node_index(t2), 1.0,
+                                   mode)
     return sz[0], zz[0], pm[0], mp[0]
 
 
@@ -107,10 +108,7 @@ class TestBlockEngineAgainstReference:
 
     def test_single_time_families(self):
         nodes = _path_node_arrays([self.path], self.ts)
-        z_c, z_s = _single_time_kernels(
-            nodes, self.table.a_c, self.table.a_s, self.noise.omega_n,
-            self.table.m_cut,
-        )
+        z_c, z_s = _single_time_kernels(nodes, self.table)
         for t in (0.5, 2.0, 7.5):
             i = int(round(t / self.h))
             ref1 = gamma_along_path(1, self.ts[i], self.path, WARM, self.system,
@@ -128,10 +126,7 @@ class TestBlockEngineAgainstReference:
         i2 = int(round(3.0 / self.h))
         i2 += i2 % 2
         t2 = self.ts[i2]
-        g3, g4 = _two_time_kernels(
-            nodes, self.table.d_p, self.table.d_m, self.system.epsilon0,
-            self.noise.omega_n, 1.0, i2, self.table.m_cut,
-        )
+        g3, g4 = _two_time_kernels(nodes, self.table, i2)
         # the kernels live on node indices i2 .. min(n - 1, i2 + m_cut)
         width = min(len(self.ts) - 1, i2 + self.table.m_cut) - i2 + 1
         assert g3.shape == g4.shape == (1, width)
@@ -175,7 +170,7 @@ class TestFlipKernels:
 
     def path(self, flips, sign=1):
         return NoisePath(flip_times=np.array(flips, dtype=float),
-                         initial_sign=sign, horizon=float(self.ts[-1]))
+                         initial_sign=sign)
 
     def cases(self):
         h, ts, m_cut = self.h, self.ts, self.m_cut
@@ -193,8 +188,7 @@ class TestFlipKernels:
 
     def kernels(self, paths):
         return _single_time_kernels(_path_node_arrays(paths, self.ts),
-                                    self.table.a_c, self.table.a_s,
-                                    self.noise.omega_n, self.m_cut)
+                                    self.table)
 
     def test_equal_direct_lag_sum(self):
         cases = self.cases()
@@ -286,9 +280,9 @@ class TestBlockPeers:
         table = build_single_time(ts, HOT, system, noise)
         paths = [sample_path(noise, 3.0, s) for s in range(16)]
         sz, zz, pm, mp = _evolve_block(paths, table, table.node_index(t2),
-                                       system, noise, mode)
+                                       system.initial_sz, mode)
         for k, path in enumerate(paths):
-            run = single_path(path, table, t2, system, noise, mode)
+            run = single_path(path, table, t2, mode)
             for alone, peer in zip(run, (sz[k], zz[k], pm[k], mp[k])):
                 assert np.max(np.abs(alone - peer)) <= tol
 
@@ -323,16 +317,11 @@ class TestStepMapsAgainstPlainRK4:
 
     def kernels(self, paths):
         nodes = _path_node_arrays(paths, self.ts)
-        z_c, z_s = _single_time_kernels(
-            nodes, self.table.a_c, self.table.a_s, self.noise.omega_n,
-            self.table.m_cut,
-        )
+        z_c, z_s = _single_time_kernels(nodes, self.table)
         return nodes, 4.0 * z_c.real, 4.0 * z_s, 2.0 * np.conj(z_c)
 
     def two_time_kernels(self, nodes, i2):
-        return _two_time_kernels(nodes, self.table.d_p, self.table.d_m,
-                                 self.system.epsilon0, self.noise.omega_n,
-                                 1.0, i2, self.table.m_cut)
+        return _two_time_kernels(nodes, self.table, i2)
 
     def reference(self, signs, gam1, gam2, gam5, g3, g4, i2):
         e0, om = self.system.epsilon0, self.noise.omega_n
@@ -403,8 +392,8 @@ class TestStepMapsAgainstPlainRK4:
     def test_ensemble_over_blocks(self):
         n_paths = BLOCK + 36
         i2 = 708
-        mc = monte_carlo(self.table, self.ts[i2], self.system, self.noise,
-                         n_paths)
+        mc = monte_carlo(self.table, self.ts[i2], self.system.initial_sz,
+                         self.noise.seed, n_paths)
         paths = [sample_path(self.noise, 3.0, s) for s in range(n_paths)]
         nodes, gam1, gam2, gam5 = self.kernels(paths)
         g3, g4 = self.two_time_kernels(nodes, i2)
@@ -428,10 +417,10 @@ class TestChunkedScan:
         paths = [sample_path(noise, 3.0, s) for s in range(4)]
         i2 = table.node_index(even_anchor(ts, 1.0))
         for mode in ("qrt", "qrt+"):
-            ref = _evolve_block(paths, table, i2, system, noise, mode)
+            ref = _evolve_block(paths, table, i2, system.initial_sz, mode)
             with monkeypatch.context() as patch:
                 patch.setattr(telespin.oracle, "MAP_CHUNK", 7)
-                got = _evolve_block(paths, table, i2, system, noise, mode)
+                got = _evolve_block(paths, table, i2, system.initial_sz, mode)
             for a, b in zip(got, ref):
                 assert np.max(np.abs(a - b)) <= 1e-13
 
@@ -480,10 +469,8 @@ class TestGammaAlongPath:
         noise = NoiseSpec(0.6, 1e-9)
         quiet = NoiseSpec(0.0, 1e-9)
         for sign in (+1, -1):
-            path = NoisePath(flip_times=np.array([]), initial_sign=sign,
-                             horizon=6.0)
-            still = NoisePath(flip_times=np.array([]), initial_sign=1,
-                              horizon=6.0)
+            path = NoisePath(flip_times=np.array([]), initial_sign=sign)
+            still = NoisePath(flip_times=np.array([]), initial_sign=1)
             shifted = SystemSpec(epsilon0=1.0 + sign * 0.6, v=1.0)
             for fam in (1, 2, 5):
                 frozen = gamma_along_path(fam, 3.0, path, WARM, system, noise,
@@ -496,8 +483,8 @@ class TestGammaAlongPath:
         # with eps0 = 0 a frozen path acts as a static bias of size Omega, so
         # the sigma_z source kernel equals its shifted-bias value (nonzero)
         noise = NoiseSpec(0.6, 1e-9)
-        path = NoisePath(flip_times=np.array([]), initial_sign=1, horizon=6.0)
-        still = NoisePath(flip_times=np.array([]), initial_sign=1, horizon=6.0)
+        path = NoisePath(flip_times=np.array([]), initial_sign=1)
+        still = NoisePath(flip_times=np.array([]), initial_sign=1)
         val = gamma_along_path(2, 3.0, path, WARM, SystemSpec(0.0), noise,
                                dt=2e-3)
         ref = gamma_along_path(2, 3.0, still, WARM, SystemSpec(0.6),
@@ -514,7 +501,7 @@ class TestEvolveTrajectory:
         noise = NoiseSpec(0.75, 1.0, seed=3)
         table = make_table(WARM, system, noise, 6.0)
         _, zz, _, _ = single_path(sample_path(noise, 6.0, 1), table,
-                                  even_anchor(table.ts, 2.0), system, noise)
+                                  even_anchor(table.ts, 2.0))
         assert zz[0] == 1.0 + 0j
 
     def test_no_tunneling_static(self):
@@ -522,7 +509,7 @@ class TestEvolveTrajectory:
         noise = NoiseSpec(0.75, 1.0, seed=3)
         table = make_table(WARM, system, noise, 6.0)
         sz, _, _, _ = single_path(sample_path(noise, 6.0, 2), table,
-                                  even_anchor(table.ts, 2.0), system, noise)
+                                  even_anchor(table.ts, 2.0))
         assert np.allclose(sz, sz[0], atol=1e-12)
 
     def test_frozen_noise_matches_shifted_bias_dynamics(self):
@@ -540,11 +527,9 @@ class TestEvolveTrajectory:
             n += n % 2
             ts = np.linspace(0.0, horizon, n + 1)
             t2 = even_anchor(ts, 4.0)
-            path = NoisePath(flip_times=np.array([]), initial_sign=sign,
-                             horizon=horizon)
+            path = NoisePath(flip_times=np.array([]), initial_sign=sign)
             sz, zz, pm, mp = single_path(
-                path, build_single_time(ts, WARM, system, noise), t2, system,
-                noise, mode="qrt",
+                path, build_single_time(ts, WARM, system, noise), t2, mode="qrt"
             )
             quiet = NoiseSpec(0.0, 1e-9)
             table = build_single_time(ts, WARM, shifted, quiet)
@@ -562,9 +547,8 @@ class TestMonteCarlo:
         noise = NoiseSpec(0.0, 1.0, seed=9)
         table = make_table(HOT, system, noise, 4.0)
         t2 = even_anchor(table.ts, 2.0)
-        mc = monte_carlo(table, t2, system, noise, 100)
-        _, zz, _, _ = single_path(sample_path(noise, 4.0, 0), table, t2,
-                                  system, noise)
+        mc = monte_carlo(table, t2, system.initial_sz, noise.seed, 100)
+        _, zz, _, _ = single_path(sample_path(noise, 4.0, 0), table, t2)
         # identical paths up to pairwise-summation rounding of the reduction
         assert np.allclose(mc["zz"].mean, zz, atol=1e-12, rtol=0)
         assert np.max(mc["zz"].se_re) < 1e-7
@@ -577,8 +561,8 @@ class TestMonteCarlo:
         noise = NoiseSpec(0.75, 1.0, seed=31)
         table = make_table(HOT, system, noise, 3.0)
         t2 = even_anchor(table.ts, 1.5)
-        a = monte_carlo(table, t2, system, noise, 128)
-        b = monte_carlo(table, t2, system, noise, 128)
+        a = monte_carlo(table, t2, system.initial_sz, noise.seed, 128)
+        b = monte_carlo(table, t2, system.initial_sz, noise.seed, 128)
         for key in ("zz", "pm", "mp", "sz"):
             assert np.array_equal(a[key].mean, b[key].mean)
             assert np.array_equal(a[key].se_re, b[key].se_re)
@@ -588,8 +572,8 @@ class TestMonteCarlo:
         noise = NoiseSpec(0.75, 1.0, seed=13)
         table = make_table(HOT, system, noise, 3.0)
         t2 = even_anchor(table.ts, 1.5)
-        small = monte_carlo(table, t2, system, noise, 400)
-        large = monte_carlo(table, t2, system, noise, 1600)
+        small = monte_carlo(table, t2, system.initial_sz, noise.seed, 400)
+        large = monte_carlo(table, t2, system.initial_sz, noise.seed, 1600)
         # quadrupling the ensemble halves the median standard error
         ratio = (np.median(small["pm"].se_re[10:])
                  / np.median(large["pm"].se_re[10:]))
@@ -604,9 +588,9 @@ class TestMonteCarlo:
         table = make_table(HOT, system, noise, 3.0)
         t2 = even_anchor(table.ts, 1.5)
         n = 2 * BLOCK
-        mc = monte_carlo(table, t2, system, noise, n)
+        mc = monte_carlo(table, t2, system.initial_sz, noise.seed, n)
         runs = [single_path(sample_path(noise, float(table.ts[-1]), p), table,
-                            t2, system, noise) for p in range(n)]
+                            t2) for p in range(n)]
         for k, key in enumerate(("sz", "zz", "pm", "mp")):
             per_path = np.array([r[k] for r in runs]).real
             ref = per_path.std(axis=0, ddof=1) / np.sqrt(n)
@@ -621,7 +605,8 @@ class TestMonteCarlo:
         noise = NoiseSpec(0.75, 1.0, seed=13)
         table = make_table(HOT, system, noise, 2.0)
         with pytest.raises(ValueError):
-            monte_carlo(table, even_anchor(table.ts, 1.0), system, noise, 50)
+            monte_carlo(table, even_anchor(table.ts, 1.0), system.initial_sz,
+                        noise.seed, 50)
 
     def test_single_time_matches_averaged_equations(self):
         # statistics-dominated regime: 2000 paths on a short horizon
@@ -629,7 +614,7 @@ class TestMonteCarlo:
         noise = NoiseSpec(0.75, 1.0, seed=20260810)
         table = make_table(HOT, system, noise, 6.0)
         t2 = even_anchor(table.ts, 3.0)
-        mc = monte_carlo(table, t2, system, noise, 2000)
+        mc = monte_carlo(table, t2, system.initial_sz, noise.seed, 2000)
         series = propagate(table, system, "qrt+", t2)
         dev = standardized_deviation(mc["sz"], series.g1[::2])
         assert np.max(dev) < 3.0
@@ -653,7 +638,7 @@ class TestMutationCheck:
         monkeypatch.setattr(telespin.dynamics, "assemble_generator",
                             flip_rotation)
         bad = propagate(table, system, "qrt+", t2)
-        mc = monte_carlo(table, t2, system, noise, 400)
+        mc = monte_carlo(table, t2, system.initial_sz, noise.seed, 400)
         dev_good = standardized_deviation(mc["pm"], good.qrt_plus[::2, 2])
         dev_bad = standardized_deviation(mc["pm"], bad.qrt_plus[::2, 2])
         assert np.max(dev_good) < 3.0
