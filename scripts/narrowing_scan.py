@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from telespin import BathSpec, NoiseSpec, SystemSpec, detect_peaks, power_spectrum
-from telespin.config import ExperimentConfig, GridConfig, RunConfig
+from telespin.config import ExperimentConfig, GridConfig
 from telespin.csvio import write_csv
 from telespin.runner import compute_series
 
@@ -21,7 +21,6 @@ def peak_count(beta, eps0, nu, omega, horizon, prominence, seed):
         noise=NoiseSpec(omega_n=omega, nu=nu, seed=seed),
         system=SystemSpec(epsilon0=eps0, v=1.0, initial_sz=1.0),
         grid=GridConfig(horizon=horizon),
-        run=RunConfig(prominence=prominence),
     )
     _, series = compute_series(cfg, mode="qrt+")
     spec = power_spectrum(series.t1 - series.t2, series.qrt_plus[:, 4])

@@ -9,6 +9,8 @@ import numpy as np
 
 DECAY_WARN_FRACTION = 0.05
 
+PAD_FACTOR = 4
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -60,9 +62,9 @@ class DampedFit:
     degenerate: bool = False
 
 
-def power_spectrum(tau, series, window: str = "hann", pad_factor: int = 4,
+def power_spectrum(tau, series, window: str = "hann",
                    power_mode: str = "re") -> SpectrumResult:
-    """Discrete one-sided transform with zero padding.
+    """Discrete one-sided transform with PAD_FACTOR-fold zero padding.
 
     window="hann" applies the decaying half of a Hann window, tapering the
     truncation end while leaving tau = 0 untouched (the series is one-sided).
@@ -91,7 +93,7 @@ def power_spectrum(tau, series, window: str = "hann", pad_factor: int = 4,
     else:
         raise ValueError(f"unknown window: {window!r}")
     c = series * taper
-    n_pad = pad_factor * n
+    n_pad = PAD_FACTOR * n
     buf = np.zeros(n_pad, dtype=complex)
     buf[:n] = np.conj(c)
     transform = np.conj(np.fft.fft(buf)) * dt  # sum c_j e^{+i w tau_j} dt

@@ -17,8 +17,6 @@ from . import runner
 #: add_argument options); a command registers the flags of the fields it reads
 _OVERRIDES = {
     "--mode": ("run.mode", {"choices": MODES}),
-    "--s1-denominator": ("run.s1_denominator", {"choices": ["eta", "nu"]}),
-    "--power-mode": ("run.power_mode", {"choices": ["re", "abs2"]}),
     "--workers": ("run.workers", {"type": int, "metavar": "N"}),
     "--seed": ("noise.seed", {"type": int, "metavar": "N"}),
     "--paths": ("run.n_paths", {"type": int, "metavar": "N"}),
@@ -26,13 +24,10 @@ _OVERRIDES = {
 
 #: command -> (help, the override flags of the fields its runner reads)
 _COMMANDS = {
-    "dynamics": ("propagate correlators, emit CSV series", "--mode --s1-denominator"),
-    "spectrum": ("absorption/emission spectra and peaks",
-                 "--mode --s1-denominator --power-mode"),
-    "sweep": ("rate/delta/peak surfaces over (nu, omega)",
-              "--s1-denominator --power-mode --workers"),
-    "validate": ("Monte Carlo oracle versus averaged equations",
-                 "--s1-denominator --seed --paths"),
+    "dynamics": ("propagate correlators, emit CSV series", "--mode"),
+    "spectrum": ("absorption/emission spectra and peaks", "--mode"),
+    "sweep": ("rate/delta/peak surfaces over (nu, omega)", "--workers"),
+    "validate": ("Monte Carlo oracle versus averaged equations", "--seed --paths"),
 }
 
 

@@ -62,29 +62,17 @@ class GridConfig:
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "both"            # qrt | qrt+ | both
-    window: str = "hann"          # none | hann
-    power_mode: str = "re"        # re | abs2
     s1_denominator: str = "eta"   # eta | nu
-    prominence: float = 0.05
-    pad_factor: int = 4
     workers: int = 1
     n_paths: int = 10000
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"run.mode must be {'|'.join(MODES)}, got {self.mode!r}")
-        if self.window not in ("none", "hann"):
-            raise ConfigError(f"run.window must be none|hann, got {self.window!r}")
-        if self.power_mode not in ("re", "abs2"):
-            raise ConfigError(f"run.power_mode must be re|abs2, got {self.power_mode!r}")
         if self.s1_denominator not in ("eta", "nu"):
             raise ConfigError(
                 f"run.s1_denominator must be eta|nu, got {self.s1_denominator!r}"
             )
-        if not 0.0 <= self.prominence <= 1.0:
-            raise ConfigError(f"run.prominence must be in [0, 1], got {self.prominence}")
-        if self.pad_factor < 1:
-            raise ConfigError(f"run.pad_factor must be >= 1, got {self.pad_factor}")
         if self.workers < 1:
             raise ConfigError(f"run.workers must be >= 1, got {self.workers}")
         if self.n_paths < MIN_PATHS:
@@ -178,7 +166,7 @@ def parse_flat(text: str) -> dict:
         try:
             parsed = json.loads(value)
         except json.JSONDecodeError:
-            parsed = value  # bare strings like auto, eta, hann
+            parsed = value  # bare strings like auto, eta, qrt+
         if key == "schema_version":
             if parsed != SCHEMA_VERSION:
                 raise ConfigError(

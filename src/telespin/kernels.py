@@ -1,7 +1,8 @@
 """Noise-averaged memory kernels on a uniform time grid.
 
-Ten single-time kernels are cumulative integrals of a bath
-integrand times a dichotomous-noise propagator,
+Eight single-time kernels (g11 g12 g21 g22 g51 g52 g61 g62) are
+cumulative integrals of a bath integrand times a dichotomous-noise
+propagator,
 
     G_{i,1}(t) = pre_i \\int_0^t E_i(u) S0(u) du,
     G_{i,2}(t) = pre_i (i) \\int_0^t E_i'(u) S1(u) du   (i factor on rows 1-2),

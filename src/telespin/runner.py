@@ -71,12 +71,10 @@ def _write_config(cfg, outdir, **extra):
                     encoding="utf-8")
 
 
-def _spectrum_and_peaks(cfg: ExperimentConfig, tau, y):
-    """Power spectrum of y(tau) and its peaks, as the run settings ask."""
-    spec = analysis.power_spectrum(tau, y, window=cfg.run.window,
-                                   pad_factor=cfg.run.pad_factor,
-                                   power_mode=cfg.run.power_mode)
-    return spec, analysis.detect_peaks(spec, prominence_frac=cfg.run.prominence)
+def _spectrum_and_peaks(tau, y):
+    """Power spectrum of y(tau) and its peaks (README, Conventions)."""
+    spec = analysis.power_spectrum(tau, y)
+    return spec, analysis.detect_peaks(spec)
 
 
 def compute_series(cfg: ExperimentConfig, mode=None):
@@ -127,7 +125,7 @@ def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
     meta = cfg.resolved_dict(t2=series.t2, spectrum_mode=mode)
     report = {}
     for label, column in (("absorption", 4), ("emission", 2)):
-        spec, peaks = _spectrum_and_peaks(cfg, tau, y[:, column])
+        spec, peaks = _spectrum_and_peaks(tau, y[:, column])
         write_csv(
             outdir / f"{label}.csv",
             {"omega": spec.freq_grid, "power": spec.power},
@@ -190,7 +188,7 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
             except ValueError:
                 pass
     spectrum_source = y_corr[:, 4] if y_corr is not None else series.qrt[:, 4]
-    _, peaks = _spectrum_and_peaks(cfg, t1 - series.t2, spectrum_source)
+    _, peaks = _spectrum_and_peaks(t1 - series.t2, spectrum_source)
     out["peaks_absorption"] = len(peaks)
     return out
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import telespin as ts
-from telespin.config import ExperimentConfig, GridConfig, RunConfig
+from telespin.config import ExperimentConfig, GridConfig
 from telespin.runner import compute_series, run_sweep, sweep_cell
 
 SEED = 20260810
@@ -21,14 +21,12 @@ HOT = ts.BathSpec(2.0, 1.0, 0.5, 0.02)
 COLD = ts.BathSpec(2.0, 1.0, 0.5, 50.0)
 
 
-def make_cfg(bath, eps0, nu, omega, horizon, t2="auto", seed=SEED,
-             prominence=0.05, window="hann"):
+def make_cfg(bath, eps0, nu, omega, horizon, t2="auto", seed=SEED):
     return ExperimentConfig(
         bath=bath,
         noise=ts.NoiseSpec(omega_n=omega, nu=nu, seed=seed),
         system=ts.SystemSpec(epsilon0=eps0, v=1.0, initial_sz=1.0),
         grid=GridConfig(horizon=horizon, t2=t2),
-        run=RunConfig(prominence=prominence, window=window),
     )
 
 
@@ -37,10 +35,8 @@ def verdict(name, ok, detail):
     return ok
 
 
-def absorption_spectrum(cfg, series):
-    tau = series.t1 - series.t2
-    return ts.power_spectrum(tau, series.qrt_plus[:, 4], window=cfg.run.window,
-                             pad_factor=cfg.run.pad_factor)
+def absorption_spectrum(series):
+    return ts.power_spectrum(series.t1 - series.t2, series.qrt_plus[:, 4])
 
 
 class TestA1NoNoiseReduction:
@@ -100,7 +96,7 @@ class TestA3SpectralPeaks:
     def test_criterion(self):
         slow = make_cfg(HOT, eps0=1.0, nu=0.01, omega=0.75, horizon=40.0)
         _, series = compute_series(slow, mode="qrt+")
-        spec = absorption_spectrum(slow, series)
+        spec = absorption_spectrum(series)
         peaks = sorted(p.omega for p in ts.detect_peaks(spec, 0.05))
         two_bins = 2.0 * spec.bin_width
         ok_slow = (len(peaks) == 2
@@ -109,7 +105,7 @@ class TestA3SpectralPeaks:
 
         fast = make_cfg(HOT, eps0=1.0, nu=1.0, omega=0.75, horizon=40.0)
         _, series_f = compute_series(fast, mode="qrt+")
-        spec_f = absorption_spectrum(fast, series_f)
+        spec_f = absorption_spectrum(series_f)
         peaks_f = [p.omega for p in ts.detect_peaks(spec_f, 0.05)]
         ok_fast = len(peaks_f) == 1 and abs(peaks_f[0] - 1.0) < 2.0 * spec_f.bin_width
 
@@ -128,10 +124,9 @@ class TestA4NarrowingTransition:
     def _transition(self, bath):
         counts = []
         for K in self.KS:
-            cfg = make_cfg(bath, eps0=0.0, nu=0.75 / K, omega=0.75,
-                           horizon=60.0, prominence=0.03)
+            cfg = make_cfg(bath, eps0=0.0, nu=0.75 / K, omega=0.75, horizon=60.0)
             _, series = compute_series(cfg, mode="qrt+")
-            spec = absorption_spectrum(cfg, series)
+            spec = absorption_spectrum(series)
             counts.append(len(ts.detect_peaks(spec, 0.03)))
         changes = [i for i in range(len(self.KS) - 1)
                    if counts[i] == 1 and counts[i + 1] == 2]

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+import telespin as ts
 from telespin.analysis import (
     SpectrumResult,
     _damped_jacobian,
@@ -16,6 +17,8 @@ from telespin.analysis import (
     fit_exponential,
     power_spectrum,
 )
+from telespin.config import ExperimentConfig, GridConfig, RunConfig
+from telespin.runner import run_spectrum
 
 
 def lorentzian_series(omega0, eta, horizon=120.0, dt=0.02):
@@ -121,6 +124,35 @@ class TestDetectPeaks:
         assert len(peaks) == 2
         assert [p.power for p in peaks] == power[idx].tolist()
         assert [p.prominence for p in peaks] == props["prominences"].tolist()
+
+
+class TestKuboAndersonNarrowing:
+    """The spectrum command's fixed estimator on the Kubo-Anderson line.
+
+    At V = 0, e0 = 0, sz = -1 and t2 = 0 the absorption correlator is S0(tau),
+    so Re F(w) = nu Omega^2 / ((Omega^2 - w^2)^2 + nu^2 w^2): one line at
+    w = 0 for Omega < nu/sqrt(2), two at +-sqrt(Omega^2 - nu^2/2) above it.
+    The Kubo numbers K = Omega/nu stay clear of the transition at 0.707,
+    where the lower twin's prominence (its height over the central dip)
+    crosses the 5% cut.
+    """
+
+    @pytest.mark.parametrize("kubo", [0.6, 0.85, 1.0])
+    def test_peaks_where_the_line_shape_puts_them(self, tmp_path, kubo):
+        omega, nu = 1.0, 1.0 / kubo
+        cfg = ExperimentConfig(
+            bath=ts.BathSpec(2.0, 1.0, 0.5, 50.0),
+            noise=ts.NoiseSpec(omega_n=omega, nu=nu),
+            system=ts.SystemSpec(epsilon0=0.0, v=0.0, initial_sz=-1.0),
+            grid=GridConfig(horizon=60.0, t2=0.0),
+            run=RunConfig(mode="qrt"),
+        )
+        absorption = run_spectrum(cfg, tmp_path)["report"]["absorption"]
+        split = omega * omega - nu * nu / 2.0
+        expected = [-np.sqrt(split), np.sqrt(split)] if split > 0 else [0.0]
+        got = sorted(p["omega"] for p in absorption["peaks"])
+        assert len(got) == len(expected)
+        assert got == pytest.approx(expected, abs=absorption["bin_width"])
 
 
 class TestFitExponential:

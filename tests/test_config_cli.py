@@ -31,6 +31,11 @@ grid.horizon = 6.0
 grid.t2 = 2.0
 """
 
+#: spectrum keys a config may not set, each with a plausible value: the
+#: estimator has no run settings (README, Conventions)
+REMOVED_KEYS = {"run.window": "hann", "run.power_mode": "re",
+                "run.prominence": 0.05, "run.pad_factor": 4}
+
 
 @pytest.fixture
 def cfg_file(tmp_path):
@@ -56,6 +61,9 @@ class TestConfigParsing:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="bath"):
             parse_flat("schema_version = 1\nbath.krapa = 2.0\n")
+        for key, value in REMOVED_KEYS.items():
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                parse_flat(f"schema_version = 1\n{key} = {json.dumps(value)}\n")
 
     def test_schema_version_required(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -509,6 +517,7 @@ class TestConfigErrors:
         ("grid.t2 = -1", "grid.t2"),
         # past the third-last node of the horizon-6 grid: no two-time step left
         ("grid.t2 = 10.0", "grid.t2"),
+        # spectrum keys fail as unknown fields, whatever their value
         ("run.pad_factor = 0", "run.pad_factor"),
         ("run.prominence = -1", "run.prominence"),
         ("run.prominence = 1.5", "run.prominence"),
@@ -545,8 +554,6 @@ class TestConfigErrors:
 #: the value recorded there)
 FLAG_VALUES = {
     "--mode": ("qrt", "run.mode", "qrt"),
-    "--s1-denominator": ("nu", "run.s1_denominator", "nu"),
-    "--power-mode": ("abs2", "run.power_mode", "abs2"),
     "--workers": ("2", "run.workers", 2),
     "--seed": ("5", "noise.seed", 5),
     "--paths": ("200", "run.n_paths", 200),
@@ -555,16 +562,20 @@ FLAG_VALUES = {
 #: the override flags of each command: those of the fields its runner reads
 #: (--dump-kernels, dynamics only, is checked in TestCli)
 REGISTERED = {
-    "dynamics": {"--mode", "--s1-denominator"},
-    "spectrum": {"--mode", "--s1-denominator", "--power-mode"},
-    "sweep": {"--s1-denominator", "--power-mode", "--workers"},
-    "validate": {"--s1-denominator", "--seed", "--paths"},
+    "dynamics": {"--mode"},
+    "spectrum": {"--mode"},
+    "sweep": {"--workers"},
+    "validate": {"--seed", "--paths"},
 }
+
+#: flags no command registers, each with a plausible value
+REMOVED_FLAGS = {"--power-mode": "abs2", "--s1-denominator": "nu"}
 
 
 class TestFlagMatrix:
     """Each flag sets one section.field on the commands that read it, and
-    every other command rejects it before doing anything."""
+    every other command rejects it before doing anything; a removed flag is
+    rejected by every command."""
 
     @pytest.mark.parametrize("command", sorted(REGISTERED))
     def test_flags_land_as_their_fields(self, tmp_path, command):
@@ -581,11 +592,13 @@ class TestFlagMatrix:
 
     @pytest.mark.parametrize("command, flag", [
         (command, flag) for command in sorted(REGISTERED)
-        for flag in sorted(FLAG_VALUES) if flag not in REGISTERED[command]])
+        for flag in sorted({*FLAG_VALUES, *REMOVED_FLAGS})
+        if flag not in REGISTERED[command]])
     def test_other_flags_rejected(self, cfg_file, tmp_path, capsys, command, flag):
+        value = REMOVED_FLAGS.get(flag) or FLAG_VALUES[flag][0]
         with pytest.raises(SystemExit) as exit_:
             main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out"),
-                  flag, FLAG_VALUES[flag][0]])
+                  flag, value])
         assert exit_.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -642,8 +655,9 @@ def test_readme_library_sketch_matches_api():
 
 
 def test_readme_config_loads_with_defaults(tmp_path):
-    """README's config block loads, and every optional value it shows but
-    noise.seed is its dataclass default, as the text under it says."""
+    """README's config block loads, shows every schema field, and every
+    optional value it shows but noise.seed is its dataclass default, as the
+    text under it says."""
     import telespin
 
     readme = (Path(telespin.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
@@ -652,6 +666,9 @@ def test_readme_config_loads_with_defaults(tmp_path):
     path.write_text(block)
     cfg = load_config(path)
     shown = parse_flat(block)
+    assert {f"{section}.{name}" for section, keys in shown.items()
+            if section != "schema_version" for name in keys} == {
+        f"{section}.{f.name}" for section, cls in SECTIONS.items() for f in fields(cls)}
     for section, cls in SECTIONS.items():
         for f in (f for f in fields(cls) if f.default is not MISSING):
             if f.name in shown.get(section, {}) and f"{section}.{f.name}" != "noise.seed":
@@ -659,14 +676,15 @@ def test_readme_config_loads_with_defaults(tmp_path):
 
 
 def _bad_values():
-    for section, cls in SECTIONS.items():
-        for f in fields(cls):
-            bad = ["x", {"a": 1}, None]
-            if f.type != "tuple":
-                bad.append([1, 2])
-            for value in bad:
-                yield pytest.param(f"{section}.{f.name}", value,
-                                   id=f"{section}.{f.name}={json.dumps(value)}")
+    # a spectrum key fails whatever its value
+    types = {f"{section}.{f.name}": f.type
+             for section, cls in SECTIONS.items() for f in fields(cls)}
+    for key, type_ in {**types, **dict.fromkeys(REMOVED_KEYS, None)}.items():
+        bad = ["x", {"a": 1}, None]
+        if type_ != "tuple":
+            bad.append([1, 2])
+        for value in bad:
+            yield pytest.param(key, value, id=f"{key}={json.dumps(value)}")
 
 
 SWEEP = "sweep.nu = [0.5, 1.0]\nsweep.omega_n = [0.75]\n"
@@ -700,11 +718,7 @@ grid.horizon = 5
 grid.dt = 0.001
 grid.t2 = 1.5
 run.mode = qrt
-run.window = none
-run.power_mode = abs2
 run.s1_denominator = nu
-run.prominence = 0.1
-run.pad_factor = 2
 run.workers = 3
 run.n_paths = 200
 sweep.nu = [0.5, 1]
@@ -730,18 +744,17 @@ sweep.omega_n = [0.25]
             "noise.omega_n", "noise.nu", "noise.seed",
             "system.epsilon0", "system.v", "system.initial_sz",
             "grid.horizon", "grid.dt", "grid.t2",
-            "run.mode", "run.window", "run.power_mode", "run.s1_denominator",
-            "run.prominence", "run.pad_factor", "run.workers", "run.n_paths",
+            "run.mode", "run.s1_denominator", "run.workers", "run.n_paths",
             "sweep.nu", "sweep.omega_n",
             "t2",
         ]
 
     def test_int_values_cast_to_float_fields(self, tmp_path):
         path = tmp_path / "i.cfg"
-        path.write_text(BASE_CFG + "bath.kappa = 2\nrun.pad_factor = 4.0\n"
+        path.write_text(BASE_CFG + "bath.kappa = 2\nrun.workers = 4.0\n"
                         "sweep.nu = [1]\nsweep.omega_n = [2]\n")
         cfg = load_config(path)
-        assert type(cfg.bath.kappa) is float and type(cfg.run.pad_factor) is int
+        assert type(cfg.bath.kappa) is float and type(cfg.run.workers) is int
         assert cfg.sweep.nu == (1.0,) and type(cfg.sweep.nu[0]) is float
 
     def test_sweep_requires_both_axes(self, tmp_path):

@@ -188,7 +188,8 @@ class TestEvolveTwoTime:
         b = propagate(table, system, "qrt+", t2, rtol=5e-9, atol=5e-11)
         assert np.max(np.abs(a.qrt_plus[:, 0].real - b.qrt_plus[:, 0].real)) < 1e-5
 
-    # (1, 0.5) is the narrowing point 2 Omega = nu
+    # (1, 0.5) is 2 Omega = nu, where eta = 0 and S0 starts to oscillate in
+    # time; the spectrum splits into two lines only at Omega = nu/sqrt(2)
     @pytest.mark.parametrize("nu, omega_n", [(1.0, 0.25), (1.0, 0.5),
                                              (1.0, 2.0), (0.05, 0.75)])
     def test_kubo_anderson_closed_form(self, nu, omega_n):
