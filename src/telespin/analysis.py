@@ -11,6 +11,9 @@ DECAY_WARN_FRACTION = 0.05
 
 PAD_FACTOR = 4
 
+#: fewest samples power_spectrum transforms
+MIN_SPECTRUM_SAMPLES = 4
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -72,8 +75,9 @@ def power_spectrum(tau, series, window: str = "hann",
     """
     tau = np.asarray(tau, dtype=float)
     series = np.asarray(series, dtype=complex)
-    if len(tau) != len(series) or len(tau) < 4:
-        raise ValueError("tau and series must match and hold at least 4 samples")
+    if len(tau) != len(series) or len(tau) < MIN_SPECTRUM_SAMPLES:
+        raise ValueError("tau and series must match and hold at least "
+                         f"{MIN_SPECTRUM_SAMPLES} samples")
     dt = tau[1] - tau[0]
     if not np.allclose(np.diff(tau), dt, rtol=1e-9, atol=0.0):
         raise ValueError("power_spectrum requires a uniform tau grid")

@@ -42,17 +42,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GridConfig:
-    horizon: float
-    dt: float | str = "auto"      # "auto": the resolution-guard bound
+    horizon: float                # the step is the resolution bound (resolve_ts)
     t2: float | str = "auto"      # "auto": quasi-stationary anchor policy
 
     def __post_init__(self):
         if self.horizon <= 0:
             raise ConfigError(f"grid.horizon must be > 0, got {self.horizon}")
-        if isinstance(self.dt, str) and self.dt != "auto":
-            raise ConfigError(f"grid.dt must be a number or 'auto', got {self.dt!r}")
-        if not isinstance(self.dt, str) and self.dt <= 0:
-            raise ConfigError(f"grid.dt must be > 0, got {self.dt}")
         if isinstance(self.t2, str) and self.t2 != "auto":
             raise ConfigError(f"grid.t2 must be a number or 'auto', got {self.t2!r}")
         if not isinstance(self.t2, str) and self.t2 < 0:
@@ -118,19 +113,14 @@ class ExperimentConfig:
                     raise ConfigError(f"sweep.{name}: {exc}") from exc
 
     def resolve_ts(self) -> np.ndarray:
-        """Uniform grid [0, horizon] honoring the resolution guard; the node
-        count is kept even so coarse output nodes tile the grid."""
-        bound = resolution_bound(
+        """Uniform grid [0, horizon] at the largest step within the resolution
+        bound that takes an even step count, so coarse output nodes tile it."""
+        dt = resolution_bound(
             xi_coefficient(self.bath),
             self.system.epsilon0,
             self.noise.omega_n,
             self.noise.nu,
         )
-        dt = bound if self.grid.dt == "auto" else float(self.grid.dt)
-        if dt > bound * (1.0 + 1e-9):
-            raise ConfigError(
-                f"grid.dt = {dt} exceeds the resolution bound {bound:.3e}"
-            )
         n = int(math.ceil(self.grid.horizon / dt))
         n += n % 2
         return np.linspace(0.0, self.grid.horizon, n + 1)
@@ -255,6 +245,9 @@ def config_from_tree(tree: dict, overrides: dict | None = None) -> ExperimentCon
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
     return config_from_tree(parse_flat(text), overrides)

@@ -185,7 +185,6 @@ def build_single_time(
     s0 = s0c.real
     m_cut = support_cut_index(q2)
     alive = q2 < Q2_SUPPORT_CUT
-    alive[m_cut + 1:] = False
     ef = np.where(alive, env, 0.0) * np.exp(1j * q1)
 
     def cum(y):

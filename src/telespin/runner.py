@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -118,6 +119,11 @@ def run_dynamics(cfg: ExperimentConfig, outdir, dump_kernels=None) -> dict:
 def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
     mode = cfg.run.mode if cfg.run.mode != "both" else "qrt+"
     table, series = compute_series(cfg, mode=mode)
+    if len(series.t1) < analysis.MIN_SPECTRUM_SAMPLES:
+        raise ConfigError(
+            f"grid.t2 = {cfg.grid.t2} (anchor t = {series.t2:.6g}) leaves "
+            f"{len(series.t1)} two-time samples up to grid.horizon = {cfg.grid.horizon}; "
+            f"a spectrum needs at least {analysis.MIN_SPECTRUM_SAMPLES}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     y = series.qrt_plus if mode == "qrt+" else series.qrt
@@ -244,12 +250,19 @@ def _cell_task(cfg):
     """One sweep cell on single-threaded BLAS, so concurrent workers do not
     oversubscribe the cores and the fitted numbers (a threaded dot sums in
     another order) depend on neither the worker count nor the caller's
-    BLAS setting."""
-    try:
-        with _single_blas_thread():
-            return sweep_cell(cfg)
-    except Exception as exc:  # recorded in-row, never dropped
-        return {"status": f"failed: {type(exc).__name__}: {exc}"}
+    BLAS setting.  The cell's warnings are re-issued naming the cell, so
+    identical messages from different cells stay apart."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            with _single_blas_thread():
+                row = sweep_cell(cfg)
+        except Exception as exc:  # recorded in-row, never dropped
+            row = {"status": f"failed: {type(exc).__name__}: {exc}"}
+    for w in caught:
+        warnings.warn_explicit(
+            f"{w.message} (sweep cell nu = {cfg.noise.nu}, "
+            f"omega_n = {cfg.noise.omega_n})", w.category, w.filename, w.lineno)
+    return row
 
 
 _CELL_FIELDS = ("t2", "k", "k_p", "k_rms", "k_converged", "lam", "lam_w1",
@@ -261,15 +274,8 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> dict:
     if cfg.sweep is None:
         raise ConfigError("sweep: the config has no sweep section "
                           "(sweep.nu and sweep.omega_n)")
-    cells = []
-    for nu, om in product(cfg.sweep.nu, cfg.sweep.omega_n):
-        cell = replace(cfg, noise=replace(cfg.noise, omega_n=om, nu=nu), sweep=None)
-        try:
-            cell.resolve_ts()  # every cell's grid.dt bound before any cell runs
-        except ConfigError as exc:
-            raise ConfigError(f"{exc} in the sweep cell nu = {nu}, "
-                              f"omega_n = {om}") from exc
-        cells.append(cell)
+    cells = [replace(cfg, noise=replace(cfg.noise, omega_n=om, nu=nu), sweep=None)
+             for nu, om in product(cfg.sweep.nu, cfg.sweep.omega_n)]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     if cfg.run.workers > 1:  # map keeps the cells' order

@@ -11,11 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from telespin.bath import BathSpec, xi_coefficient
 from telespin.cli import build_parser, main
-from telespin.config import (SECTIONS, ConfigError, config_from_tree, load_config,
-                             parse_flat)
+from telespin.config import (SECTIONS, ConfigError, ExperimentConfig, GridConfig,
+                             config_from_tree, load_config, parse_flat)
 from telespin.csvio import read_csv, write_csv
-from telespin.dynamics import IntegratorError
+from telespin.dynamics import IntegratorError, SystemSpec
+from telespin.kernels import build_single_time, resolution_bound
+from telespin.noise import NoiseSpec
 
 BASE_CFG = """\
 schema_version = 1
@@ -31,10 +37,11 @@ grid.horizon = 6.0
 grid.t2 = 2.0
 """
 
-#: spectrum keys a config may not set, each with a plausible value: the
-#: estimator has no run settings (README, Conventions)
+#: removed keys a config may not set, each with a plausible value: the
+#: spectrum estimator has no run settings (README, Conventions) and the grid
+#: step is always the resolution bound
 REMOVED_KEYS = {"run.window": "hann", "run.power_mode": "re",
-                "run.prominence": 0.05, "run.pad_factor": 4}
+                "run.prominence": 0.05, "run.pad_factor": 4, "grid.dt": "auto"}
 
 
 @pytest.fixture
@@ -85,16 +92,46 @@ class TestConfigParsing:
         cfg = load_config(path)
         assert cfg.sweep.nu == (0.5, 1.0)
 
-    def test_dt_guard(self, tmp_path):
-        path = tmp_path / "g.cfg"
-        path.write_text(BASE_CFG + "grid.dt = 0.5\n")
-        with pytest.raises(ConfigError, match="resolution bound"):
-            load_config(path).resolve_ts()
-
     def test_resolved_grid_even(self, cfg_file):
         ts = load_config(cfg_file).resolve_ts()
         assert (len(ts) - 1) % 2 == 0
         assert ts[0] == 0.0
+
+
+class TestDerivedGrid:
+    """The grid step is always derived: resolve_ts spans [0, horizon] in an
+    even number of uniform steps within the resolution bound, and the kernel
+    tabulation accepts it."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        kappa=st.floats(0.0, 2.5),
+        omega0=st.floats(0.5, 2.0),
+        gamma_frac=st.floats(0.05, 0.95),
+        beta=st.floats(0.05, 50.0),
+        omega_n=st.floats(0.0, 3.0),
+        nu=st.floats(0.01, 10.0),
+        epsilon0=st.floats(-3.0, 3.0),
+        horizon=st.floats(0.01, 20.0),
+    )
+    def test_resolve_ts(self, kappa, omega0, gamma_frac, beta, omega_n, nu,
+                        epsilon0, horizon):
+        # sqrt(xi) <= 16 and every rate <= 16 here, so at most 16 000 steps
+        cfg = ExperimentConfig(
+            bath=BathSpec(kappa, omega0, gamma_frac * omega0, beta),
+            noise=NoiseSpec(omega_n, nu),
+            system=SystemSpec(epsilon0),
+            grid=GridConfig(horizon),
+        )
+        ts = cfg.resolve_ts()
+        steps = np.diff(ts)
+        bound = resolution_bound(xi_coefficient(cfg.bath), epsilon0, omega_n, nu)
+        assert len(ts) < 20_000
+        assert ts[0] == 0.0 and ts[-1] == horizon
+        assert np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        assert (len(ts) - 1) % 2 == 0
+        assert steps[0] <= bound * (1.0 + 1e-9)
+        build_single_time(ts, cfg.bath, cfg.system, cfg.noise)
 
 
 class TestCsvIo:
@@ -258,6 +295,35 @@ class TestCli:
         assert main(["dynamics", "--config", str(tmp_path / "none.cfg"),
                      "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(BASE_CFG.encode() + b"# caf\xe9\n")
+        rc = main(["dynamics", "--config", str(path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_spectrum_window_too_short_exit_code(self, tmp_path, capsys):
+        # the cold-survey regime at horizon 0.1: the auto anchor leaves one
+        # coarse step, enough for dynamics but not for a spectrum
+        path = tmp_path / "short.cfg"
+        path.write_text(BASE_CFG.replace("bath.beta = 0.02", "bath.beta = 50.0")
+                        .replace("noise.nu = 1.0", "noise.nu = 0.05")
+                        .replace("system.epsilon0 = 1.0", "system.epsilon0 = 0.0")
+                        .replace("grid.horizon = 6.0\ngrid.t2 = 2.0",
+                                 'grid.horizon = 0.1\ngrid.t2 = "auto"'))
+        rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "grid.t2" in err and "grid.horizon" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+        assert main(["dynamics", "--config", str(path), "--out", str(tmp_path / "d")]) == 0
+
     def test_integrator_failure_exit_code(self, cfg_file, tmp_path, monkeypatch):
         import telespin.runner as runner
 
@@ -286,6 +352,19 @@ class TestSweep:
         assert list(cols["omega_n"]) == [0.5, 1.0, 0.5, 1.0]
         assert np.all(np.asarray(cols["kubo"])
                       == np.asarray(cols["omega_n"]) / np.asarray(cols["nu"]))
+
+    def test_truncation_warnings_name_their_cells(self, tmp_path):
+        # at horizon 2.5 neither cell's corrected series decays below 5%
+        path = tmp_path / "s.cfg"
+        path.write_text(BASE_CFG.replace("grid.horizon = 6.0\ngrid.t2 = 2.0",
+                                         "grid.horizon = 2.5\ngrid.t2 = 1.0")
+                        + "sweep.nu = [0.5, 1.0]\nsweep.omega_n = [0.75]\n")
+        with pytest.warns(UserWarning) as record:
+            assert main(["sweep", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--workers", "1"]) == 0
+        named = [re.search(r"\(sweep cell (.*)\)$", str(w.message)).group(1)
+                 for w in record if "correlator magnitude" in str(w.message)]
+        assert named == ["nu = 0.5, omega_n = 0.75", "nu = 1.0, omega_n = 0.75"]
 
     def test_worker_count_invariance(self, tmp_path):
         path = self._sweep_cfg(tmp_path)
@@ -512,12 +591,12 @@ class TestConfigErrors:
         ('noise.seed = "s"', "noise.seed"),
         ("noise.seed = 1.5", "noise.seed"),
         ("sweep.nu = 5", "sweep.nu"),
-        ("grid.dt = -1", "grid.dt"),
-        ("grid.dt = 0", "grid.dt"),
         ("grid.t2 = -1", "grid.t2"),
         # past the third-last node of the horizon-6 grid: no two-time step left
         ("grid.t2 = 10.0", "grid.t2"),
-        # spectrum keys fail as unknown fields, whatever their value
+        # removed keys fail as unknown fields, whatever their value
+        ("grid.dt = -1", "grid.dt"),
+        ("grid.dt = 0", "grid.dt"),
         ("run.pad_factor = 0", "run.pad_factor"),
         ("run.prominence = -1", "run.prominence"),
         ("run.prominence = 1.5", "run.prominence"),
@@ -535,11 +614,8 @@ class TestConfigErrors:
     @pytest.mark.parametrize("lines, field", [
         ("sweep.nu = [0.0, 1.0]\nsweep.omega_n = [0.75]", "sweep.nu"),
         ("sweep.nu = [1.0]\nsweep.omega_n = [-1.0]", "sweep.omega_n"),
-        # within the nu = 1 cell's bound, above the nu = 60 cell's (3.333e-4)
-        ("grid.dt = 0.0005\nsweep.nu = [1.0, 60.0]\nsweep.omega_n = [0.75]",
-         "grid.dt"),
         ("", "sweep: the config has no sweep section"),
-    ], ids=["nu", "omega_n", "dt-bound", "no-section"])
+    ], ids=["nu", "omega_n", "no-section"])
     def test_sweep_fails_before_any_cell(self, tmp_path, capsys, lines, field):
         path = tmp_path / "bad.cfg"
         path.write_text(BASE_CFG + lines + "\n")
@@ -676,7 +752,7 @@ def test_readme_config_loads_with_defaults(tmp_path):
 
 
 def _bad_values():
-    # a spectrum key fails whatever its value
+    # a removed key fails whatever its value
     types = {f"{section}.{f.name}": f.type
              for section, cls in SECTIONS.items() for f in fields(cls)}
     for key, type_ in {**types, **dict.fromkeys(REMOVED_KEYS, None)}.items():
@@ -715,7 +791,6 @@ system.epsilon0 = 0.5
 system.v = 0.9
 system.initial_sz = -0.5
 grid.horizon = 5
-grid.dt = 0.001
 grid.t2 = 1.5
 run.mode = qrt
 run.s1_denominator = nu
@@ -743,7 +818,7 @@ sweep.omega_n = [0.25]
             "bath.kappa", "bath.omega0", "bath.gamma", "bath.beta",
             "noise.omega_n", "noise.nu", "noise.seed",
             "system.epsilon0", "system.v", "system.initial_sz",
-            "grid.horizon", "grid.dt", "grid.t2",
+            "grid.horizon", "grid.t2",
             "run.mode", "run.s1_denominator", "run.workers", "run.n_paths",
             "sweep.nu", "sweep.omega_n",
             "t2",
