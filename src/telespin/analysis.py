@@ -13,6 +13,9 @@ PAD_FACTOR = 4
 
 #: fewest samples power_spectrum transforms
 MIN_SPECTRUM_SAMPLES = 4
+#: fewest samples fit_exponential and fit_damped_cosines fit
+MIN_EXP_FIT_SAMPLES = 20
+MIN_DAMPED_FIT_SAMPLES = 50
 
 
 @dataclass(frozen=True)
@@ -164,8 +167,8 @@ def fit_exponential(t, y) -> ExpFit:
 
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(t) < 20:
-        raise ValueError("fit_exponential requires at least 20 samples")
+    if len(t) < MIN_EXP_FIT_SAMPLES:
+        raise ValueError(f"fit_exponential requires at least {MIN_EXP_FIT_SAMPLES} samples")
     tt = t - t[0]
     span = float(np.max(y) - np.min(y))
     if span < 1e-12 * max(1.0, float(np.max(np.abs(y)))):
@@ -251,8 +254,8 @@ def fit_damped_cosines(t, y) -> DampedFit:
 
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(t) < 50:
-        raise ValueError("fit_damped_cosines requires at least 50 samples")
+    if len(t) < MIN_DAMPED_FIT_SAMPLES:
+        raise ValueError(f"fit_damped_cosines requires at least {MIN_DAMPED_FIT_SAMPLES} samples")
     tt = t - t[0]
     spec = power_spectrum(tt, y.astype(complex), window="hann", power_mode="abs2")
     half = spec.freq_grid >= 0.0

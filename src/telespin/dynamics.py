@@ -12,6 +12,7 @@ single-time generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,18 +83,21 @@ def equal_time_initials(g1_at_t2, g2_at_t2) -> np.ndarray:
 
 # Dormand–Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19
 # (1980)) with Shampine's quartic dense output (Math. Comp. 46, 135 (1986)),
-# written with the literals of scipy's RK45 so each product rounds alike
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+# written with the literals of scipy's RK45 so each product rounds alike.
+# np.dot casts a float operand to complex before its BLAS call, so the
+# complex copies made here once give the same products.
+_C = [0, 1/5, 3/10, 4/5, 8/9, 1]
+#: stage s's coefficients a_{s,0..s-1}, for s = 1..5
+_A = [np.array(row, dtype=complex) for row in (
+    [1/5],
+    [3/40, 9/40],
+    [44/45, -56/15, 32/9],
+    [19372/6561, -25360/2187, 64448/6561, -212/729],
     [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+)]
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84], dtype=complex)
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40],
+              dtype=complex)
 _P = np.array([
     [1, -8048581381/2820520608, 8663915743/2820520608,
      -12715105075/11282082432],
@@ -106,7 +110,7 @@ _P = np.array([
      701980252875 / 199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
-])
+], dtype=complex)
 #: error exponent -1/(q + 1) of the embedded order-4 estimate
 _ERROR_EXPONENT = -1 / 5
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
@@ -114,7 +118,10 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS of a complex vector as a Python float, summed as
+    numpy.linalg.norm sums it: sqrt(re . re + im . im)."""
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
@@ -148,6 +155,16 @@ def _propagate(rhs, y0, t_out, rtol, atol, what, size, bound, breach):
     with IntegratorError(breach(t, size)), so a run that leaves the
     physical range does not integrate on to t_out[-1].  A step size below
     ten ulps of t raises IntegratorError naming `what`.
+
+    The bookkeeping runs on Python floats: t, h, h_abs and the error norm
+    round as numpy's float64 scalars do, and math.nextafter, math.sqrt and
+    ** are the same IEEE operations as their numpy counterparts.  What the
+    bit-for-bit contract needs unchanged is every call that forms solution
+    values: the stage sums np.dot(K[:s].T, a) * h, the update
+    y + h * np.dot(K[:-1].T, B), the error estimate np.dot(K.T, E), the
+    norm's sum sqrt(re . re + im . im) (_rms), and the dense output
+    h * np.dot(K.T.dot(P), x^1..4) + y_old, all on the same operands in the
+    same layout.  The stage views of K are built once per solve.
     """
 
     def fun(t, y):
@@ -158,10 +175,13 @@ def _propagate(rhs, y0, t_out, rtol, atol, what, size, bound, breach):
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, t_bound, f, rtol, atol)
     K = np.empty((len(_C) + 1, y.size), dtype=complex)
+    stages = [(K[s], K[:s].T, a, c)
+              for s, (a, c) in enumerate(zip(_A, _C[1:]), start=1)]
+    k_body, k_all = K[:-1].T, K.T
     blocks = []
     i = 0
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -169,16 +189,16 @@ def _propagate(rhs, y0, t_out, rtol, atol, what, size, bound, breach):
                 raise IntegratorError(f"{what} failed: {TOO_SMALL_STEP}")
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
-            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-                dy = np.dot(K[:s].T, a[:s]) * h
-                K[s] = fun(t + c * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _B)
+            for k_s, k_prev, a, c in stages:
+                dy = np.dot(k_prev, a) * h
+                k_s[:] = fun(t + c * h, y + dy)
+            y_new = y + h * np.dot(k_body, _B)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            error_norm = _rms(np.dot(k_all, _E) * h / scale)
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
                           min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT))
@@ -191,8 +211,11 @@ def _propagate(rhs, y0, t_out, rtol, atol, what, size, bound, breach):
         j = np.searchsorted(t_out, t, side="right")
         if j > i:
             x = (t_out[i:j] - t_old) / h
-            p = np.cumprod(np.tile(x, (_P.shape[1], 1)), axis=0)
-            block = h * np.dot(K.T.dot(_P), p)
+            p = np.empty((_P.shape[1], x.size))
+            p[0] = x
+            for k in range(1, len(p)):  # x, x^2, x^3, x^4
+                np.multiply(p[k - 1], x, out=p[k])
+            block = h * np.dot(k_all.dot(_P), p)
             block += y_old[:, None]
             sizes = size(block)
             if sizes.max() > bound:
@@ -277,21 +300,17 @@ def assemble_generator(
     nu = table.nu
     ie = 1j * table.epsilon0
     io = 1j * table.omega_n
-    A = np.array(
-        [
-            [-g11, g12, -4 * g31, -4 * g32, 4 * g41, 4 * g42],
-            [g12, -(nu + g11), 4 * g32, 4 * g31, -4 * g42, 4 * g41],
-            [g41, -g42, ie - g51, io + g52, 0, 0],
-            [-g42, g41, io + g52, -(nu - ie + g51), 0, 0],
-            [g31, g32, 0, 0, -(ie + g61), -(io + g62)],
-            [g32, g31, 0, 0, -(io + g62), -(nu + ie + g61)],
-        ],
-        dtype=complex,
-    )
-    decay = np.exp(-nu * (t1 - t2))
-    b = np.zeros(6, dtype=complex)
-    b[0] = -g21 * g1_t2 - decay * g22 * g2_t2
-    b[1] = -g22 * g1_t2 - decay * g21 * g2_t2
+    A = np.array([
+        -g11, g12, -4 * g31, -4 * g32, 4 * g41, 4 * g42,
+        g12, -(nu + g11), 4 * g32, 4 * g31, -4 * g42, 4 * g41,
+        g41, -g42, ie - g51, io + g52, 0, 0,
+        -g42, g41, io + g52, -(nu - ie + g51), 0, 0,
+        g31, g32, 0, 0, -(ie + g61), -(io + g62),
+        g32, g31, 0, 0, -(io + g62), -(nu + ie + g61),
+    ], dtype=complex).reshape(6, 6)
+    decay = float(np.exp(-nu * (t1 - t2)))
+    b = np.array([-g21 * g1_t2 - decay * g22 * g2_t2,
+                  -g22 * g1_t2 - decay * g21 * g2_t2, 0, 0, 0, 0], dtype=complex)
     return A, b
 
 
@@ -321,10 +340,11 @@ def evolve_two_time(
     t2 = float(ts[i2])
     y0 = equal_time_initials(g1[i2], g2[i2])
     t_out = ts[i2:]
+    g1_t2, g2_t2 = complex(g1[i2]), complex(g2[i2])
 
     def run(m):
         def rhs(t1, y):
-            A, b = assemble_generator(t1, t2, table, g1[i2], g2[i2], m)
+            A, b = assemble_generator(t1, t2, table, g1_t2, g2_t2, m)
             return A @ y + b
 
         def breach(t1, size):

@@ -51,6 +51,20 @@ def resolution_bound(xi: float, epsilon0: float, omega_n: float, nu: float) -> f
     return GRID_GUARD_FACTOR * min(scales)
 
 
+class _Column:
+    """Read-only view of one column of a kernel stack."""
+
+    def __init__(self, stack: str, k: int):
+        self.stack, self.k = stack, k
+
+    def __get__(self, table, owner=None):
+        if table is None:
+            return self
+        view = getattr(table, self.stack)[:, self.k]
+        view.flags.writeable = False
+        return view
+
+
 @dataclass(frozen=True)
 class KernelTable:
     """Immutable kernel tables on a uniform grid: plain data, so a table
@@ -65,14 +79,10 @@ class KernelTable:
     omega_n: float
     e_r: float
     xi: float
-    g11: np.ndarray
-    g12: np.ndarray
-    g21: np.ndarray
-    g22: np.ndarray
-    g51: np.ndarray
-    g52: np.ndarray
-    g61: np.ndarray
-    g62: np.ndarray
+    # the single-time kernels, stored once: columns g11, g21 (real) and
+    # g12, g22, g51, g52, g61, g62 (complex)
+    real_kernels: np.ndarray = field(repr=False)
+    complex_kernels: np.ndarray = field(repr=False)
     # e^{+-i e0 u} S_j(u) factors of the two-time integrands
     _ep0: np.ndarray = field(repr=False)
     _ep1: np.ndarray = field(repr=False)
@@ -85,6 +95,15 @@ class KernelTable:
     d_p: np.ndarray = field(repr=False)
     d_m: np.ndarray = field(repr=False)
     m_cut: int = field(repr=False)
+
+    g11 = _Column("real_kernels", 0)
+    g21 = _Column("real_kernels", 1)
+    g12 = _Column("complex_kernels", 0)
+    g22 = _Column("complex_kernels", 1)
+    g51 = _Column("complex_kernels", 2)
+    g52 = _Column("complex_kernels", 3)
+    g61 = _Column("complex_kernels", 4)
+    g62 = _Column("complex_kernels", 5)
 
     @property
     def support_cut(self) -> float:
@@ -99,21 +118,19 @@ class KernelTable:
         return k
 
     def single_time_at(self, t: float):
-        """Linear interpolation of the eight single-time kernels at t."""
-        x = t / self.dt
+        """Linear interpolation of the eight single-time kernels at t, as
+        Python numbers: floats g11, g21 and complex g12, g22, g51, g52, g61,
+        g62.  Each value rounds as g * row_j + f * row_{j+1} does in numpy,
+        and the real kernels stay real, so exact zeros keep their sign."""
+        x = float(t) / self.dt
         j = min(max(int(x), 0), len(self.ts) - 2)
         f = x - j
         g = 1.0 - f
-        return (
-            g * self.g11[j] + f * self.g11[j + 1],
-            g * self.g12[j] + f * self.g12[j + 1],
-            g * self.g21[j] + f * self.g21[j + 1],
-            g * self.g22[j] + f * self.g22[j + 1],
-            g * self.g51[j] + f * self.g51[j + 1],
-            g * self.g52[j] + f * self.g52[j + 1],
-            g * self.g61[j] + f * self.g61[j + 1],
-            g * self.g62[j] + f * self.g62[j + 1],
-        )
+        (r0, r1), (s0, s1) = self.real_kernels[j:j + 2].tolist()
+        (c0, c1, c2, c3, c4, c5), (d0, d1, d2, d3, d4, d5) = \
+            self.complex_kernels[j:j + 2].tolist()
+        return (g * r0 + f * s0, g * c0 + f * d0, g * r1 + f * s1, g * c1 + f * d1,
+                g * c2 + f * d2, g * c3 + f * d3, g * c4 + f * d4, g * c5 + f * d5)
 
     def two_time_pair(self, t1: float, t2: float):
         """(G31, G32, G41, G42) at (t1, t2); t2 must lie on the grid."""
@@ -191,6 +208,18 @@ def build_single_time(
         # cumulative trapezoid from 0, the same terms as scipy's
         return np.concatenate(([0.0], np.cumsum(steps * (y[1:] + y[:-1]) / 2.0)))
 
+    # filled one column at a time, so no second copy of a kernel is held
+    real = np.empty((len(ts), 2))
+    real[:, 0] = 4.0 * v2 * cum(kc * cos_e * s0)
+    real[:, 1] = 4.0 * v2 * cum(ks * sin_e * s0)
+    cplx = np.empty((len(ts), 6), dtype=complex)
+    cplx[:, 0] = 1j * 4.0 * v2 * cum(kc * sin_e * s1)
+    cplx[:, 1] = 1j * 4.0 * v2 * cum(ks * cos_e * s1)
+    cplx[:, 2] = 2.0 * v2 * cum(kc * np.conj(rot) * s0)
+    cplx[:, 3] = 2.0 * v2 * cum(kc * np.conj(rot) * s1)
+    cplx[:, 4] = 2.0 * v2 * cum(kc * rot * s0)
+    cplx[:, 5] = 2.0 * v2 * cum(kc * rot * s1)
+
     return KernelTable(
         ts=ts,
         dt=dt,
@@ -200,14 +229,8 @@ def build_single_time(
         omega_n=noise.omega_n,
         e_r=e_r,
         xi=xi,
-        g11=4.0 * v2 * cum(kc * cos_e * s0),
-        g12=1j * 4.0 * v2 * cum(kc * sin_e * s1),
-        g21=4.0 * v2 * cum(ks * sin_e * s0),
-        g22=1j * 4.0 * v2 * cum(ks * cos_e * s1),
-        g51=2.0 * v2 * cum(kc * np.conj(rot) * s0),
-        g52=2.0 * v2 * cum(kc * np.conj(rot) * s1),
-        g61=2.0 * v2 * cum(kc * rot * s0),
-        g62=2.0 * v2 * cum(kc * rot * s1),
+        real_kernels=real,
+        complex_kernels=cplx,
         _ep0=rot * s0,
         _ep1=rot * s1,
         _em0=np.conj(rot) * s0,

@@ -116,14 +116,20 @@ def run_dynamics(cfg: ExperimentConfig, outdir, dump_kernels=None) -> dict:
     return {"series": series, "files": written}
 
 
-def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
-    mode = cfg.run.mode if cfg.run.mode != "both" else "qrt+"
-    table, series = compute_series(cfg, mode=mode)
-    if len(series.t1) < analysis.MIN_SPECTRUM_SAMPLES:
+def _require_samples(cfg: ExperimentConfig, series, need: int, what: str):
+    """ConfigError naming grid.t2 and grid.horizon when fewer than `need`
+    two-time samples follow the anchor (the anchor node included)."""
+    if len(series.t1) < need:
         raise ConfigError(
             f"grid.t2 = {cfg.grid.t2} (anchor t = {series.t2:.6g}) leaves "
             f"{len(series.t1)} two-time samples up to grid.horizon = {cfg.grid.horizon}; "
-            f"a spectrum needs at least {analysis.MIN_SPECTRUM_SAMPLES}")
+            f"{what} needs at least {need}")
+
+
+def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
+    mode = cfg.run.mode if cfg.run.mode != "both" else "qrt+"
+    table, series = compute_series(cfg, mode=mode)
+    _require_samples(cfg, series, analysis.MIN_SPECTRUM_SAMPLES, "a spectrum")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     y = series.qrt_plus if mode == "qrt+" else series.qrt
@@ -159,9 +165,13 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
     bound, and the status names that node, so a fallback cell pays only
     for the corrected steps up to the breach.  The corrected series starts
     from the regression run's background and anchor, so the cell solves
-    the single-time background once.
+    the single-time background once.  A window too short for the rate
+    fits raises ConfigError.
     """
     table, series = compute_series(cfg, mode="qrt")
+    _require_samples(cfg, series, max(analysis.MIN_EXP_FIT_SAMPLES,
+                                      analysis.MIN_DAMPED_FIT_SAMPLES),
+                     "a sweep cell")
     t1 = series.t1
     out = {"t2": series.t2, "status": "ok"}
     efit = analysis.fit_exponential(t1, series.qrt[:, 0].real)
@@ -251,11 +261,14 @@ def _cell_task(cfg):
     oversubscribe the cores and the fitted numbers (a threaded dot sums in
     another order) depend on neither the worker count nor the caller's
     BLAS setting.  The cell's warnings are re-issued naming the cell, so
-    identical messages from different cells stay apart."""
+    identical messages from different cells stay apart.  A ConfigError
+    stops the sweep; any other failure is recorded in the cell's row."""
     with warnings.catch_warnings(record=True) as caught:
         try:
             with _single_blas_thread():
                 row = sweep_cell(cfg)
+        except ConfigError:
+            raise
         except Exception as exc:  # recorded in-row, never dropped
             row = {"status": f"failed: {type(exc).__name__}: {exc}"}
     for w in caught:
@@ -276,13 +289,13 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> dict:
                           "(sweep.nu and sweep.omega_n)")
     cells = [replace(cfg, noise=replace(cfg.noise, omega_n=om, nu=nu), sweep=None)
              for nu, om in product(cfg.sweep.nu, cfg.sweep.omega_n)]
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     if cfg.run.workers > 1:  # map keeps the cells' order
         with ProcessPoolExecutor(max_workers=cfg.run.workers) as pool:
             rows = list(pool.map(_cell_task, cells))
     else:
         rows = [_cell_task(cell) for cell in cells]
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     columns = {name: [] for name in ("nu", "omega_n", "kubo", *_CELL_FIELDS, "status")}
     for cell, row in zip(cells, rows):

@@ -324,6 +324,27 @@ class TestCli:
         assert not (tmp_path / "x").exists()
         assert main(["dynamics", "--config", str(path), "--out", str(tmp_path / "d")]) == 0
 
+    @pytest.mark.parametrize("window, workers", [
+        ('grid.horizon = 0.1\ngrid.t2 = "auto"', 1),  # 3 samples: no fit at all
+        ("grid.horizon = 1.0\ngrid.t2 = 0.5", 1),      # 33: exponential fit only
+        ("grid.horizon = 1.0\ngrid.t2 = 0.5", 2),
+    ], ids=["3-samples", "33-samples", "33-samples-pool"])
+    def test_sweep_window_too_short_exit_code(self, tmp_path, capsys, window, workers):
+        # the cold-survey regime: a window too short for a sweep cell's rate
+        # fits stops the sweep before any output, on the serial and pool path
+        path = tmp_path / "short.cfg"
+        path.write_text(BASE_CFG.replace("bath.beta = 0.02", "bath.beta = 50.0")
+                        .replace("noise.nu = 1.0", "noise.nu = 0.05")
+                        .replace("system.epsilon0 = 1.0", "system.epsilon0 = 0.0")
+                        .replace("grid.horizon = 6.0\ngrid.t2 = 2.0", window)
+                        + "sweep.nu = [0.05]\nsweep.omega_n = [0.75]\n")
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x"),
+                   "--workers", str(workers)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "grid.t2" in err and "grid.horizon" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
     def test_integrator_failure_exit_code(self, cfg_file, tmp_path, monkeypatch):
         import telespin.runner as runner
 

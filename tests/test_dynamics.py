@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import telespin.dynamics
@@ -19,7 +23,8 @@ from telespin.dynamics import (
 from telespin.kernels import build_single_time
 from telespin.noise import NoiseSpec, propagators
 
-from test_kernels import make_grid, make_table
+from test_kernels import (REFERENCE_TABLES, make_grid, make_table, node_or_any_time,
+                          reference_single_time_at, reference_table)
 
 
 def node_near(table, t):
@@ -138,6 +143,66 @@ class TestGenerator:
     def test_time_order(self):
         with pytest.raises(ValueError):
             assemble_generator(self.t2 - 0.1, self.t2, self.table, 0.5, 0.0, "qrt")
+
+
+def reference_generator(t1, t2, table, g1_t2, g2_t2, mode):
+    """assemble_generator as a nested-list np.array on numpy scalars: the
+    reference interpolation and g1(t2), g2(t2) as numpy complex."""
+    g11, g12, g21, g22, g51, g52, g61, g62 = reference_single_time_at(table, t1)
+    if mode == "qrt+":
+        g31, g32, g41, g42 = table.two_time_pair(t1, t2)
+    else:
+        g31 = g32 = g41 = g42 = 0j
+    nu = table.nu
+    ie = 1j * table.epsilon0
+    io = 1j * table.omega_n
+    A = np.array(
+        [
+            [-g11, g12, -4 * g31, -4 * g32, 4 * g41, 4 * g42],
+            [g12, -(nu + g11), 4 * g32, 4 * g31, -4 * g42, 4 * g41],
+            [g41, -g42, ie - g51, io + g52, 0, 0],
+            [-g42, g41, io + g52, -(nu - ie + g51), 0, 0],
+            [g31, g32, 0, 0, -(ie + g61), -(io + g62)],
+            [g32, g31, 0, 0, -(io + g62), -(nu + ie + g61)],
+        ],
+        dtype=complex,
+    )
+    decay = np.exp(-nu * (t1 - t2))
+    b = np.zeros(6, dtype=complex)
+    b[0] = -g21 * g1_t2 - decay * g22 * g2_t2
+    b[1] = -g22 * g1_t2 - decay * g21 * g2_t2
+    return A, b
+
+
+@functools.lru_cache(maxsize=None)
+def single_time_background(name):
+    return evolve_single_time(reference_table(name), REFERENCE_TABLES[name][1].initial_sz)
+
+
+def same_array_bits(a, b):
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+class TestGeneratorMatchesReference:
+    """The flat-list assembly on Python numbers gives the reference's A and
+    b bit for bit, signs of zero included, in both modes."""
+
+    @pytest.mark.parametrize("mode", ["qrt", "qrt+"])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_TABLES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_nested_list_reference(self, name, mode, data):
+        table = reference_table(name)
+        g1, g2 = single_time_background(name)
+        i2 = 2 * data.draw(st.integers(0, (len(table.ts) - 3) // 2))
+        t2 = float(table.ts[i2])
+        t1 = data.draw(node_or_any_time(table, i2))
+        A, b = assemble_generator(t1, t2, table, complex(g1[i2]), complex(g2[i2]), mode)
+        A_ref, b_ref = reference_generator(t1, t2, table, g1[i2], g2[i2], mode)
+        assert same_array_bits(A, A_ref), (t1, t2)
+        assert same_array_bits(b, b_ref), (t1, t2)
 
 
 class TestEvolveTwoTime:

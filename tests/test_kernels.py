@@ -1,8 +1,11 @@
 import dataclasses
+import functools
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from telespin.bath import BathSpec, reorganization_energy, xi_coefficient
@@ -102,6 +105,74 @@ class TestSingleTimeKernels:
         ts = np.linspace(0.0, 4.0, 101)  # far too coarse for xi = 200
         with pytest.raises(ValueError, match="resolution bound"):
             build_single_time(ts, HOT, system, noise)
+
+
+KERNELS = ("g11", "g12", "g21", "g22", "g51", "g52", "g61", "g62")
+
+
+def reference_single_time_at(table, t):
+    """single_time_at's interpolation on numpy scalars, one array per kernel."""
+    x = t / table.dt
+    j = min(max(int(x), 0), len(table.ts) - 2)
+    f = x - j
+    g = 1.0 - f
+    return tuple(g * k[j] + f * k[j + 1]
+                 for k in (getattr(table, name) for name in KERNELS))
+
+
+#: a hot biased table, and a cold unbiased one whose kernels built on
+#: sin(e0 t) = 0 hold exact zeros of either sign
+REFERENCE_TABLES = {
+    "hot": (HOT, SystemSpec(1.0, v=1.0), NoiseSpec(0.75, 1.0), 6.0),
+    "cold-unbiased": (BathSpec(2.0, 1.0, 0.5, 50.0), SystemSpec(0.0, v=1.0),
+                      NoiseSpec(0.75, 0.05), 8.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_table(name):
+    return make_table(*REFERENCE_TABLES[name])
+
+
+def node_or_any_time(table, first=0):
+    """Times in [ts[first], horizon]: anywhere, on a node, or at either end."""
+    start, end = float(table.ts[first]), float(table.ts[-1])
+    return st.one_of(
+        st.floats(start, end),
+        st.integers(first, len(table.ts) - 1).map(lambda k: float(table.ts[k])),
+        st.sampled_from([start, end]),
+    )
+
+
+def same_bits(a, b):
+    return (a == b and np.signbit(a.real) == np.signbit(b.real)
+            and np.signbit(a.imag) == np.signbit(b.imag))
+
+
+class TestSingleTimeAt:
+    """The interpolation reads each stack row once and computes on Python
+    numbers; every value, and the sign of every zero, matches the numpy
+    scalar formula."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_TABLES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_numpy_scalar_reference(self, name, data):
+        table = reference_table(name)
+        t = data.draw(node_or_any_time(table))
+        got = table.single_time_at(t)
+        for kernel, a, b in zip(KERNELS, got, reference_single_time_at(table, t)):
+            assert same_bits(a, b), (kernel, t, a, b)
+        assert [type(v) for v in got] == [float, complex, float, complex,
+                                          complex, complex, complex, complex]
+
+    def test_columns_are_read_only_views_of_one_stack(self):
+        table = reference_table("hot")
+        for name in KERNELS:
+            column = getattr(table, name)
+            assert not column.flags.writeable, name
+            stack = table.real_kernels if name in ("g11", "g21") else table.complex_kernels
+            assert np.shares_memory(column, stack), name
 
 
 class TestTwoTimeKernels:

@@ -46,6 +46,32 @@ def test_assemble_generator_mode_is_sixth_positional():
     assert params[5] == "mode"
 
 
+def _hot_config(**run):
+    return ExperimentConfig(
+        bath=BathSpec(2.0, 1.0, 0.5, 0.02),
+        noise=NoiseSpec(0.75, 1.0, seed=11),
+        system=dynamics.SystemSpec(1.0),
+        grid=GridConfig(horizon=6.0, t2=2.0),
+        run=RunConfig(**run),
+    )
+
+
+def test_dynamics_solves_reach_the_wrapped_bindings(tracing, tmp_path):
+    # the right-hand sides call assemble_generator through the dynamics
+    # module and two_time_pair through the KernelTable class at every
+    # evaluation; a solver that bound either once would count nothing
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        runner.run_dynamics(_hot_config(), tmp_path)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics([tracer.spans])
+    for key in ("dynamics.rhs_calls.qrt", "dynamics.rhs_calls.qrt_plus",
+                "kernels.two_time_pair_calls"):
+        assert metrics[key] > 0, key
+
+
 def test_validate_records_path_count_on_oracle_span(tracing, tmp_path):
     # the tracer reads the path count from monte_carlo's n_paths keyword;
     # positionally n_paths is the fifth argument (a[4]), but the tracer's
@@ -53,13 +79,7 @@ def test_validate_records_path_count_on_oracle_span(tracing, tmp_path):
     # keyword.  oracle.paths_per_s divides by that count.  It
     # counts path draws through the oracle module's sample_path binding, so
     # a block loop that stops calling it would drop that count silently.
-    cfg = ExperimentConfig(
-        bath=BathSpec(2.0, 1.0, 0.5, 0.02),
-        noise=NoiseSpec(0.75, 1.0, seed=11),
-        system=dynamics.SystemSpec(1.0),
-        grid=GridConfig(horizon=6.0, t2=2.0),
-        run=RunConfig(n_paths=100),
-    )
+    cfg = _hot_config(n_paths=100)
     tracer = tracing.Tracer()
     tracer.install()
     try:
