@@ -14,7 +14,8 @@ configuration next to the results.
 The section dataclasses in ``SECTIONS`` are the schema: a key ``s.f`` is
 valid when field ``f`` exists on section ``s``'s dataclass, its value is
 cast by the field's annotation, a field without a default is required,
-and ``resolved_dict`` lists the fields in declaration order.  Any value
+a field with ``init=False`` is recorded but not settable, and
+``resolved_dict`` lists the fields in declaration order.  Any value
 that fails its cast or its dataclass's check is a ``ConfigError`` naming
 ``section.field``.
 """
@@ -57,17 +58,14 @@ class GridConfig:
 @dataclass(frozen=True)
 class RunConfig:
     mode: str = "both"            # qrt | qrt+ | both
-    s1_denominator: str = "eta"   # eta | nu
+    # the one S1 form, recorded in every resolved config; not settable
+    s1_denominator: str = field(default="eta", init=False)
     workers: int = 1
     n_paths: int = 10000
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"run.mode must be {'|'.join(MODES)}, got {self.mode!r}")
-        if self.s1_denominator not in ("eta", "nu"):
-            raise ConfigError(
-                f"run.s1_denominator must be eta|nu, got {self.s1_denominator!r}"
-            )
         if self.workers < 1:
             raise ConfigError(f"run.workers must be >= 1, got {self.workers}")
         if self.n_paths < MIN_PATHS:
@@ -170,7 +168,7 @@ def parse_flat(text: str) -> dict:
         section, _, name = key.partition(".")
         if section not in SECTIONS:
             raise ConfigError(f"{key}: unknown section {section!r}")
-        if name not in {f.name for f in fields(SECTIONS[section])}:
+        if name not in {f.name for f in fields(SECTIONS[section]) if f.init}:
             raise ConfigError(f"{key}: unknown field {name!r} in section {section!r}")
         tree.setdefault(section, {})[name] = parsed
     return tree
@@ -212,6 +210,8 @@ def _build_section(section: str, cls, raw: dict):
     dataclass default, and a field without one is required."""
     kwargs = {}
     for f in fields(cls):
+        if not f.init:
+            continue
         path = f"{section}.{f.name}"
         if f.name not in raw:
             if f.default is MISSING:

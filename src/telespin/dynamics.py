@@ -326,17 +326,19 @@ def evolve_two_time(
     """Y(t1) per mode from the anchor t2, given the single-time background.
 
     g1, g2 are the evolve_single_time solution on the table grid; t2 must be
-    a grid node (choose_t2 picks one from g1).  Both requested modes start
-    from the identical equal-time initial data at t2.  Physicality is
-    enforced on the output nodes as the integration reaches them: the first
-    node where |Y_1| exceeds 1 + 1e-3 stops that mode's run with an
-    IntegratorError naming the node's t1 and |Y_1|.
+    a grid node before the last (choose_t2 picks one from g1).  Both
+    requested modes start from the identical equal-time initial data at t2.
+    Physicality is enforced on the output nodes as the integration reaches
+    them: the first node where |Y_1| exceeds 1 + 1e-3 stops that mode's run
+    with an IntegratorError naming the node's t1 and |Y_1|.
     """
 
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     ts = table.ts
     i2 = table.node_index(t2)
+    if i2 == len(ts) - 1:
+        raise ValueError(f"t2 = {t2} is the last grid node: no step to propagate")
     t2 = float(ts[i2])
     y0 = equal_time_initials(g1[i2], g2[i2])
     t_out = ts[i2:]

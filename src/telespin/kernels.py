@@ -41,10 +41,11 @@ GRID_GUARD_FACTOR = 0.02
 
 
 def resolution_bound(xi: float, epsilon0: float, omega_n: float, nu: float) -> float:
-    """Largest admissible grid step: 0.02 min(1/(e0+Omega), 1/sqrt(xi), 1/nu)."""
+    """Largest admissible grid step: 0.02 min(1/(|e0|+Omega), 1/sqrt(xi), 1/nu),
+    where |e0| + Omega is the fastest phase rate e0 + alpha Omega can reach."""
     scales = []
-    if epsilon0 + omega_n > 0:
-        scales.append(1.0 / (epsilon0 + omega_n))
+    if abs(epsilon0) + omega_n > 0:
+        scales.append(1.0 / (abs(epsilon0) + omega_n))
     if xi > 0:
         scales.append(1.0 / math.sqrt(xi))
     scales.append(1.0 / nu)
@@ -171,10 +172,16 @@ def build_single_time(
 ) -> KernelTable:
     """Tabulate all single-time kernels and the two-time integrand factors.
 
-    ts must be a uniform grid starting at 0 whose step satisfies the
-    resolution guard dt <= 0.02 min(1/(e0+Omega), 1/sqrt(xi), 1/nu).
+    ts must be a uniform grid of at least two nodes starting at 0 whose step
+    satisfies the resolution guard dt <= 0.02 min(1/(|e0|+Omega),
+    1/sqrt(xi), 1/nu).  S1 has one form (``noise.propagators``), so
+    s1_denominator accepts only "eta".
     """
+    if s1_denominator != "eta":
+        raise ValueError(f"s1_denominator must be 'eta', got {s1_denominator!r}")
     ts = np.asarray(ts, dtype=float)
+    if ts.size < 2:
+        raise ValueError(f"kernel grid needs at least two nodes, got {ts.size}")
     if ts[0] != 0.0:
         raise ValueError("kernel grid must start at t=0")
     steps = np.diff(ts)
@@ -198,7 +205,7 @@ def build_single_time(
     cos_e = np.cos(e0 * ts)
     sin_e = np.sin(e0 * ts)
     rot = np.exp(1j * e0 * ts)
-    s0c, s1 = propagators(ts, noise, s1_denominator)
+    s0c, s1 = propagators(ts, noise)
     s0 = s0c.real
     m_cut = support_cut_index(q2)
     alive = q2 < Q2_SUPPORT_CUT

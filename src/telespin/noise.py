@@ -12,9 +12,9 @@ The dichotomous-noise propagators
 are the conditional moments that close the noise-averaged equations.  S0 is
 real and S1 purely imaginary for every (nu, Omega).  The closed forms carry
 eta = sqrt(nu^2 - 4 Omega^2); for 2 Omega > nu eta is imaginary and both are
-evaluated in complex arithmetic.  The S1 denominator is eta; the printed
-Omega/nu variant is kept behind ``s1_denominator="nu"`` because path-averaged
-Monte Carlo adjudicates between them (eta wins; see tests).
+evaluated in complex arithmetic.  S1 is the eta form (the sinh(z)/z factor
+below); the printed Omega/nu form misses the path average by orders of
+magnitude, as the tests show.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _sinhc(z):
     return np.where(small, 1.0 + z * z / 6.0, np.sinh(zs) / zs)
 
 
-def propagators(t, noise: NoiseSpec, s1_denominator: str = "eta"):
+def propagators(t, noise: NoiseSpec):
     """(S0, S1) at time(s) t >= 0.
 
     Returns complex arrays; Im S0 and Re S1 are zero to rounding.  The
@@ -69,12 +69,7 @@ def propagators(t, noise: NoiseSpec, s1_denominator: str = "eta"):
     z = eta * t / 2.0
     damp = np.exp(-nu * t / 2.0)
     s0 = damp * (np.cosh(z) + (nu * t / 2.0) * _sinhc(z))
-    if s1_denominator == "eta":
-        s1 = -1j * om * t * damp * _sinhc(z)
-    elif s1_denominator == "nu":
-        s1 = -2j * (om / nu) * damp * np.sinh(z)
-    else:
-        raise ValueError(f"unknown s1_denominator: {s1_denominator!r}")
+    s1 = -1j * om * t * damp * _sinhc(z)
     if s0.ndim == 0:
         return complex(s0), complex(s1)
     return s0, s1

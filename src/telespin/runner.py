@@ -82,8 +82,7 @@ def compute_series(cfg: ExperimentConfig, mode=None):
     """Shared pipeline: table, single-time background (solved once and
     passed on), anchor, then the requested propagations."""
     ts = cfg.resolve_ts()
-    table = build_single_time(ts, cfg.bath, cfg.system, cfg.noise,
-                              s1_denominator=cfg.run.s1_denominator)
+    table = build_single_time(ts, cfg.bath, cfg.system, cfg.noise)
     g1, g2 = evolve_single_time(table, cfg.system.initial_sz)
     t2 = _resolve_anchor(cfg, table, g1)
     series = evolve_two_time(table, g1, g2, t2, mode=mode or cfg.run.mode)
@@ -166,7 +165,8 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
     for the corrected steps up to the breach.  The corrected series starts
     from the regression run's background and anchor, so the cell solves
     the single-time background once.  A window too short for the rate
-    fits raises ConfigError.
+    fits raises ConfigError; a rate fit that fails to converge leaves NaN in
+    its own columns and 0 in its converged flag, and the row goes on.
     """
     table, series = compute_series(cfg, mode="qrt")
     _require_samples(cfg, series, max(analysis.MIN_EXP_FIT_SAMPLES,
@@ -174,17 +174,20 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
                      "a sweep cell")
     t1 = series.t1
     out = {"t2": series.t2, "status": "ok"}
-    efit = analysis.fit_exponential(t1, series.qrt[:, 0].real)
-    out.update(k=efit.k, k_p=efit.p, k_rms=efit.rms_residual,
-               k_converged=int(efit.converged and not efit.degenerate))
+    nan = float("nan")
+    try:
+        efit = analysis.fit_exponential(t1, series.qrt[:, 0].real)
+        out.update(k=efit.k, k_p=efit.p, k_rms=efit.rms_residual,
+                   k_converged=int(efit.converged and not efit.degenerate))
+    except RuntimeError:
+        out.update(k=nan, k_p=nan, k_rms=nan, k_converged=0)
     try:
         dfit = analysis.fit_damped_cosines(t1, series.qrt[:, 4].real)
         out.update(lam=dfit.lam, lam_w1=dfit.w1, lam_w2=dfit.w2,
                    lam_rms=dfit.rms_residual,
                    lam_converged=int(dfit.converged and not dfit.degenerate))
     except RuntimeError:
-        out.update(lam=float("nan"), lam_w1=float("nan"), lam_w2=float("nan"),
-                   lam_rms=float("nan"), lam_converged=0)
+        out.update(lam=nan, lam_w1=nan, lam_w2=nan, lam_rms=nan, lam_converged=0)
 
     y_corr = None
     try:

@@ -38,10 +38,11 @@ grid.t2 = 2.0
 """
 
 #: removed keys a config may not set, each with a plausible value: the
-#: spectrum estimator has no run settings (README, Conventions) and the grid
-#: step is always the resolution bound
+#: spectrum estimator has no run settings (README, Conventions), the grid
+#: step is always the resolution bound, and S1 has one form
 REMOVED_KEYS = {"run.window": "hann", "run.power_mode": "re",
-                "run.prominence": 0.05, "run.pad_factor": 4, "grid.dt": "auto"}
+                "run.prominence": 0.05, "run.pad_factor": 4, "grid.dt": "auto",
+                "run.s1_denominator": "nu"}
 
 
 @pytest.fixture
@@ -479,6 +480,32 @@ class TestSweep:
             pytest.skip("no OpenBLAS library loaded")
         assert counts == [1] * len(counts)
 
+    @pytest.mark.parametrize("workers", ["1", "2"], ids=["serial", "pool"])
+    def test_failed_exponential_fit_stays_in_its_columns(self, tmp_path, monkeypatch,
+                                                          workers):
+        # as a failed damped fit does: NaN in its own columns, the row goes on
+        import telespin.analysis
+
+        path = tmp_path / "s.cfg"
+        path.write_text(BASE_CFG + "sweep.nu = [1.0]\nsweep.omega_n = [0.5, 1.0]\n")
+        argv = ["sweep", "--config", str(path), "--workers", workers, "--out"]
+        assert main(argv + [str(tmp_path / "good")]) == 0
+
+        def no_fit(*args, **kwargs):
+            raise RuntimeError("exponential fit failed to converge from all starts")
+
+        monkeypatch.setattr(telespin.analysis, "fit_exponential", no_fit)
+        assert main(argv + [str(tmp_path / "bad")]) == 0
+        _, good = read_csv(tmp_path / "good" / "sweep.csv")
+        _, bad = read_csv(tmp_path / "bad" / "sweep.csv")
+        assert list(bad["status"]) == list(good["status"]) == ["ok", "ok"]
+        for name in ("k", "k_p", "k_rms"):
+            assert np.isnan(bad[name]).all(), name
+        assert list(bad["k_converged"]) == [0, 0]
+        for name in ("t2", "lam", "lam_w1", "lam_w2", "lam_rms", "lam_converged",
+                     "delta_zz", "delta_pm", "delta_mp", "peaks_absorption"):
+            assert np.array_equal(bad[name], good[name], equal_nan=True), name
+
     def test_single_cell_matches_dynamics_pipeline(self, tmp_path):
         # 1x1 sweep equals the dynamics+analysis pipeline on the same config
         from telespin.analysis import fit_exponential
@@ -621,6 +648,9 @@ class TestConfigErrors:
         ("run.pad_factor = 0", "run.pad_factor"),
         ("run.prominence = -1", "run.prominence"),
         ("run.prominence = 1.5", "run.prominence"),
+        # recorded in every resolved config, but not settable
+        ("run.s1_denominator = eta", "run.s1_denominator"),
+        ("run.s1_denominator = nu", "run.s1_denominator"),
         ("system.v = NaN", "system.v"),
     ])
     def test_exit_2_naming_field(self, tmp_path, capsys, line, field):
@@ -765,7 +795,8 @@ def test_readme_config_loads_with_defaults(tmp_path):
     shown = parse_flat(block)
     assert {f"{section}.{name}" for section, keys in shown.items()
             if section != "schema_version" for name in keys} == {
-        f"{section}.{f.name}" for section, cls in SECTIONS.items() for f in fields(cls)}
+        f"{section}.{f.name}" for section, cls in SECTIONS.items() for f in fields(cls)
+        if f.init}
     for section, cls in SECTIONS.items():
         for f in (f for f in fields(cls) if f.default is not MISSING):
             if f.name in shown.get(section, {}) and f"{section}.{f.name}" != "noise.seed":
@@ -814,7 +845,6 @@ system.initial_sz = -0.5
 grid.horizon = 5
 grid.t2 = 1.5
 run.mode = qrt
-run.s1_denominator = nu
 run.workers = 3
 run.n_paths = 200
 sweep.nu = [0.5, 1]
@@ -823,11 +853,14 @@ sweep.omega_n = [0.25]
         cfg = load_config(path)
         for section, cls in SECTIONS.items():
             for f in fields(cls):
-                if f.default is not MISSING:
+                if f.default is not MISSING and f.init:
                     assert getattr(getattr(cfg, section), f.name) != f.default, f.name
         resolved = cfg.resolved_dict()
+        # the one field a resolved config records but a config may not set
+        assert cfg.run.s1_denominator == resolved["run.s1_denominator"] == "eta"
         back = tmp_path / "back.cfg"
-        back.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in resolved.items()))
+        back.write_text("".join(f"{k} = {json.dumps(v)}\n" for k, v in resolved.items()
+                                if k != "run.s1_denominator"))
         assert load_config(back) == cfg
         assert load_config(back).resolved_dict() == resolved
 

@@ -232,6 +232,15 @@ class TestEvolveTwoTime:
         assert np.allclose(np.abs(series.qrt[:, 2]), np.abs(series.qrt[0, 2]),
                            atol=1e-8)
 
+    def test_anchor_on_last_node_rejected(self):
+        system = SystemSpec(1.0, v=1.0)
+        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 2.0)
+        g1, g2 = evolve_single_time(table, system.initial_sz)
+        t2 = float(table.ts[-1])
+        with pytest.raises(ValueError, match=f"t2 = {t2} is the last grid node"):
+            evolve_two_time(table, g1, g2, t2)
+        assert evolve_two_time(table, g1, g2, float(table.ts[-2])).qrt.shape == (2, 6)
+
     def test_zero_anchor_modes_identical(self):
         system = SystemSpec(1.0, v=1.0)
         table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 6.0)

@@ -252,3 +252,28 @@ def test_table_pickles():
 def test_resolution_bound_scales():
     assert resolution_bound(100.0, 1.0, 1.0, 1.0) == pytest.approx(0.002)
     assert resolution_bound(0.0, 0.0, 0.0, 2.0) == pytest.approx(0.01)
+    # cold bath at negative bias: |e0| + Omega sets the step, as at +e0
+    xi = xi_coefficient(BathSpec(2.0, 1.0, 0.5, 50.0))
+    assert resolution_bound(xi, -2.0, 0.25, 0.05) == pytest.approx(0.02 / 2.25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(xi=st.floats(0.0, 100.0), epsilon0=st.floats(0.0, 5.0),
+       omega_n=st.floats(0.0, 3.0), nu=st.floats(0.01, 10.0))
+def test_resolution_bound_even_in_bias(xi, epsilon0, omega_n, nu):
+    # the phase rate e0 + alpha Omega reaches |e0| + Omega on either side
+    assert (resolution_bound(xi, -epsilon0, omega_n, nu)
+            == resolution_bound(xi, epsilon0, omega_n, nu))
+
+
+@pytest.mark.parametrize("ts", [[], [0.0]], ids=["empty", "one-node"])
+def test_short_grid_rejected(ts):
+    with pytest.raises(ValueError, match="at least two nodes"):
+        build_single_time(np.array(ts), HOT, SystemSpec(1.0), NoiseSpec(0.75, 1.0))
+
+
+def test_only_the_eta_form_of_s1():
+    system, noise = SystemSpec(1.0), NoiseSpec(0.75, 1.0)
+    ts = make_grid(HOT, system, noise, 1.0)
+    with pytest.raises(ValueError, match="s1_denominator"):
+        build_single_time(ts, HOT, system, noise, s1_denominator="nu")

@@ -645,6 +645,14 @@ class TestMutationCheck:
         assert np.max(dev_bad) > 10.0
 
 
+def s1_printed_nu_form(t, noise):
+    """The printed S1, with Omega/nu where the library's eta form has
+    Omega/eta; kept only to be ruled out below."""
+    nu, om = noise.nu, noise.omega_n
+    z = np.sqrt(complex(nu * nu - 4.0 * om * om)) * t / 2.0
+    return -2j * (om / nu) * np.exp(-nu * t / 2.0) * np.sinh(z)
+
+
 class TestPropagatorAdjudication:
     """Path averaging decides the S1 denominator: eta passes, nu fails."""
 
@@ -658,7 +666,7 @@ class TestPropagatorAdjudication:
             sign, w = signs_and_cumulative(p, t)
             acc[k] = sign * np.exp(-1j * noise.omega_n * w)
         se = acc.imag.std() / np.sqrt(n)
-        _, s1_eta = propagators(t, noise, s1_denominator="eta")
-        _, s1_nu = propagators(t, noise, s1_denominator="nu")
+        _, s1_eta = propagators(t, noise)
+        s1_nu = s1_printed_nu_form(t, noise)
         assert abs(acc.imag.mean() - s1_eta.imag) < 3.5 * se
         assert abs(acc.imag.mean() - s1_nu.imag) > 10 * se
