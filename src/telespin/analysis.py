@@ -120,28 +120,103 @@ def power_spectrum(tau, series, window: str = "hann",
     return SpectrumResult(freq_grid=omega, power=power, window=window)
 
 
+def _find_peaks(x, height, prominence):
+    """Indices and prominences of the peaks of x, exactly as
+    ``scipy.signal.find_peaks(x, height=height, prominence=prominence)``
+    gives them.
+
+    A run of equal samples entered by a strict rise and left by a strict
+    fall is a peak at its midpoint ``(left + right) // 2``; a run that
+    touches either end of x is none.  Peaks with ``height <= x[i]`` are
+    kept, then those with ``prominence <= x[i] - max(left_min, right_min)``,
+    each minimum taken from the peak to the nearest strictly higher sample
+    on that side, or to the end of x.
+    """
+    x = np.asarray(x, dtype=float)
+    # b[j] is the last sample of a run of equal samples and b[j] + 1 the
+    # first of the next: run 0 starts at 0, run j + 1 at b[j] + 1
+    b = np.flatnonzero(x[1:] != x[:-1])
+    rise, fall = x[b] < x[b + 1], x[b + 1] < x[b]
+    top = rise[:-1] & fall[1:]  # entry j: run j + 1, ending at b[j + 1]
+    runs = np.flatnonzero(top) + 1
+    peaks = (b[runs - 1] + 1 + b[runs]) // 2
+    cut = height <= x[peaks]
+    peaks, runs = peaks[cut], runs[cut]
+    if not len(peaks):
+        return peaks, x[peaks]
+    # x is monotone between its turning runs (the first, the last, every peak
+    # and every valley), so each stretch's minimum is one of theirs, and the
+    # stretches are grown over the turning runs alone
+    turning = np.concatenate(([True], top | (fall[:-1] & rise[1:]), [True]))
+    starts = np.concatenate(([0], b + 1))[turning]
+    position = np.cumsum(turning) - 1
+    prom = x[peaks] - np.maximum(*_stretch_minima(x[starts], position[runs]))
+    keep = prominence <= prom
+    return peaks[keep], prom[keep]
+
+
+def _stretch_minima(x, peaks):
+    """Minimum of x from each peak leftwards and rightwards to the nearest
+    strictly higher sample (excluded) or that end of x.
+
+    The stretches grow by binary lifting over one table of the maxima and
+    minima of x over windows of 2**k samples, so all peaks advance at once,
+    each side in about log2(len(x)) steps.
+    """
+    v = x[peaks]
+    n = len(x)
+    levels = n.bit_length()
+    hi = np.empty((levels, n))
+    lo = np.empty((levels, n))
+    hi[0] = lo[0] = x
+    for k in range(1, levels):  # row k, entry i: over x[i:i + 2**k]
+        h, m = 2 ** (k - 1), n - 2 ** k + 1
+        np.maximum(hi[k - 1, :m], hi[k - 1, h:h + m], out=hi[k, :m])
+        np.minimum(lo[k - 1, :m], lo[k - 1, h:h + m], out=lo[k, :m])
+    first, last = peaks, peaks  # the stretches are x[first:last + 1]
+    left, right = v, v
+    for k in reversed(range(levels)):
+        w = 2 ** k
+        start = first - w  # the window just left of the stretch
+        at = np.maximum(start, 0)
+        grow = (start >= 0) & (hi[k, at] <= v)
+        first = np.where(grow, start, first)
+        left = np.where(grow, np.minimum(left, lo[k, at]), left)
+        at = np.minimum(last + 1, n - w)  # the window just right of it
+        grow = (last + w < n) & (hi[k, at] <= v)
+        last = np.where(grow, last + w, last)
+        right = np.where(grow, np.minimum(right, lo[k, at]), right)
+    return left, right
+
+
 def detect_peaks(spectrum: SpectrumResult, prominence_frac: float = 0.05):
     """Local maxima with prominence >= prominence_frac * max(power).
 
+    A peak is a sample, or the midpoint of a run of equal samples, with a
+    strict rise before it and a strict fall after it; the ends of the grid
+    are never peaks.  Its prominence is its height above the higher of its
+    two bases, each base the lowest sample between the peak and the nearest
+    strictly higher sample on that side (or that end of the grid).  This is
+    ``scipy.signal.find_peaks``'s rule, kept bit for bit, twin lines
+    included: of two symmetric lines split by a dip, one gets its full
+    height as prominence and the other only its height above the dip, so
+    near a narrowing transition the lower twin's count can flip on rounding.
     Positions are refined by 3-point parabolic interpolation; a flat or
     non-positive spectrum yields an empty list.
     """
-    from scipy.signal import find_peaks
-
     s = spectrum.power
     top = float(np.max(s)) if len(s) else 0.0
     if top <= 0.0:
         return []
     # a peak of prominence >= threshold stands at least that far above the
     # global minimum (half of it is cut, leaving room for rounding), and
-    # find_peaks applies the height cut before it computes prominences, so
+    # the height cut comes before the prominences are computed, so
     # truncation-ripple maxima near the floor cost nothing
     threshold = prominence_frac * top
-    idx, props = find_peaks(s, height=float(np.min(s)) + 0.5 * threshold,
-                            prominence=threshold)
+    idx, proms = _find_peaks(s, float(np.min(s)) + 0.5 * threshold, threshold)
     peaks = []
     dw = spectrum.bin_width
-    for i, prom in zip(idx, props["prominences"]):
+    for i, prom in zip(idx, proms):
         omega = spectrum.freq_grid[i]
         if 0 < i < len(s) - 1:
             denom = s[i - 1] - 2.0 * s[i] + s[i + 1]
@@ -206,11 +281,19 @@ def fit_exponential(t, y) -> ExpFit:
 
 
 def _envelope_rate(t, y):
-    """Decay-rate estimate from the log analytic-signal envelope."""
-    from scipy.signal import hilbert
+    """Decay-rate estimate from the log analytic-signal envelope.
 
-    env = np.abs(hilbert(y))
+    The analytic signal is formed as ``scipy.signal.hilbert`` forms it, step
+    for step: the spectrum doubled on the positive bins and zeroed on the
+    negative ones (the Nyquist bin of an even length kept).
+    """
+    from scipy.fft import fft, ifft
+
     n = len(y)
+    xf = fft(y, n)
+    xf[1:(n + 1) // 2] *= 2.0
+    xf[n // 2 + 1:n] = 0.0
+    env = np.abs(ifft(xf))
     lo, hi = n // 10, max(n // 10 + 3, 9 * n // 10)
     seg_t, seg_e = t[lo:hi], env[lo:hi]
     good = seg_e > 1e-12 * np.max(env)

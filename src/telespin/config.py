@@ -162,16 +162,27 @@ def parse_flat(text: str) -> dict:
                 )
             tree["schema_version"] = parsed
             continue
-        if "." not in key:
-            raise ConfigError(f"{key}: top-level keys other than schema_version "
-                              "must be section.field paths")
-        section, _, name = key.partition(".")
-        if section not in SECTIONS:
-            raise ConfigError(f"{key}: unknown section {section!r}")
-        if name not in {f.name for f in fields(SECTIONS[section]) if f.init}:
-            raise ConfigError(f"{key}: unknown field {name!r} in section {section!r}")
+        section, name = _settable_path(key)
         tree.setdefault(section, {})[name] = parsed
     return tree
+
+
+def _settable_path(key: str) -> tuple:
+    """(section, field) of a key a config file or an override may set: an
+    unknown section, an unknown field or one that is recorded but not
+    settable is a ConfigError naming the key."""
+    if "." not in key:
+        raise ConfigError(f"{key}: top-level keys other than schema_version "
+                          "must be section.field paths")
+    section, _, name = key.partition(".")
+    if section not in SECTIONS:
+        raise ConfigError(f"{key}: unknown section {section!r}")
+    init = {f.name: f.init for f in fields(SECTIONS[section])}
+    if name not in init:
+        raise ConfigError(f"{key}: unknown field {name!r} in section {section!r}")
+    if not init[name]:
+        raise ConfigError(f"{key}: recorded in the resolved config, not settable")
+    return section, name
 
 
 def _number(value, kind=float):
@@ -232,14 +243,15 @@ def _build_section(section: str, cls, raw: dict):
 def config_from_tree(tree: dict, overrides: dict | None = None) -> ExperimentConfig:
     if "schema_version" not in tree:
         raise ConfigError("schema_version: missing (must be first-class key)")
-    if overrides:
-        for key, value in overrides.items():
-            section, _, name = key.partition(".")
-            tree.setdefault(section, {})[name] = value
+    # overrides go into copies, so the caller's tree stays as parsed
+    raw = {section: dict(tree[section]) for section in SECTIONS if section in tree}
+    for key, value in (overrides or {}).items():
+        section, name = _settable_path(key)
+        raw.setdefault(section, {})[name] = value
     specs = {
-        section: _build_section(section, cls, tree.get(section, {}))
+        section: _build_section(section, cls, raw.get(section, {}))
         for section, cls in SECTIONS.items()
-        if section in tree or section != "sweep"  # sweep is optional
+        if section in raw or section != "sweep"  # sweep is optional
     }
     return ExperimentConfig(**specs)
 

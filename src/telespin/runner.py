@@ -293,6 +293,10 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> dict:
     cells = [replace(cfg, noise=replace(cfg.noise, omega_n=om, nu=nu), sweep=None)
              for nu, om in product(cfg.sweep.nu, cfg.sweep.omega_n)]
     if cfg.run.workers > 1:  # map keeps the cells' order
+        # the fits' scipy.optimize is loaded once here, so forked workers
+        # inherit it instead of each importing it again
+        import scipy.optimize  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=cfg.run.workers) as pool:
             rows = list(pool.map(_cell_task, cells))
     else:

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.signal import find_peaks
+from scipy.signal import find_peaks, hilbert, peak_prominences
 
 import telespin as ts
 from telespin.analysis import (
     SpectrumResult,
     _damped_jacobian,
     _damped_model,
+    _envelope_rate,
     _exp_jacobian,
     _exp_model,
+    _find_peaks,
     delta_measure,
     detect_peaks,
     fit_damped_cosines,
@@ -124,6 +126,111 @@ class TestDetectPeaks:
         assert len(peaks) == 2
         assert [p.power for p in peaks] == power[idx].tolist()
         assert [p.prominence for p in peaks] == props["prominences"].tolist()
+
+
+def assert_matches_find_peaks(x, height, prominence):
+    """_find_peaks gives scipy's indices and prominences, exactly."""
+    idx, props = find_peaks(x, height=height, prominence=prominence)
+    got_idx, got_prom = _find_peaks(x, height, prominence)
+    assert got_idx.tolist() == idx.tolist()
+    assert got_prom.tolist() == props["prominences"].tolist()
+
+
+@st.composite
+def cuts_at_candidates(draw, x):
+    """(height, prominence) each either arbitrary or exactly one local
+    maximum's height or prominence, where the cut is decided by ``<=``."""
+    x = np.asarray(x, dtype=float)
+    candidates, _ = find_peaks(x)
+    heights = x[candidates].tolist()
+    proms = peak_prominences(x, candidates)[0].tolist() if len(candidates) else []
+    arbitrary = st.floats(-10.0, 10.0)
+    height = draw(st.sampled_from(heights) if heights and draw(st.booleans())
+                  else arbitrary)
+    prominence = draw(st.sampled_from(proms) if proms and draw(st.booleans())
+                      else st.floats(0.0, 10.0))
+    return height, prominence
+
+
+class TestFindPeaksMatchesScipy:
+    """The numpy peak search against scipy.signal.find_peaks(x, height=h,
+    prominence=p), the only arguments detect_peaks passes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           x=st.lists(st.integers(-3, 3), max_size=40))
+    def test_integer_valued(self, data, x):
+        # few distinct values: plateaus, ties between peaks and bases
+        x = np.array(x, dtype=float)
+        assert_matches_find_peaks(x, *data.draw(cuts_at_candidates(x)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           x=st.lists(st.floats(-1e3, 1e3), max_size=60))
+    def test_real_valued(self, data, x):
+        x = np.array(x, dtype=float)
+        assert_matches_find_peaks(x, *data.draw(cuts_at_candidates(x)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(st.integers(-2, 2), max_size=3),
+           height=st.integers(-3, 3), prominence=st.integers(0, 3))
+    def test_short(self, x, height, prominence):
+        assert_matches_find_peaks(np.array(x, dtype=float), height, prominence)
+
+    @pytest.mark.parametrize("n", [100, 255, 256, 257, 1000, 4097])
+    def test_random_walks(self, n):
+        # long stretches: the tallest peaks' bases lie far out, up to the ends
+        x = np.cumsum(np.random.default_rng(n).standard_normal(n))
+        assert_matches_find_peaks(x, -np.inf, 0.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
+    @pytest.mark.parametrize("value", [-1.5, 0.0, 2.0])
+    def test_flat(self, n, value):
+        x = np.full(n, value)
+        assert_matches_find_peaks(x, value, 0.0)
+        assert _find_peaks(x, value, 0.0)[0].size == 0
+
+    def test_plateaus_at_their_midpoints_and_not_at_the_ends(self):
+        x = np.array([2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 3.0, 0.0, 4.0, 4.0, 1.0, 5.0, 5.0])
+        idx, prom = _find_peaks(x, -np.inf, 0.0)
+        assert idx.tolist() == [4, 8]
+        assert prom.tolist() == [2.0, 3.0]
+        assert_matches_find_peaks(x, -np.inf, 0.0)
+
+    def test_twin_lines_keep_scipy_prominences(self):
+        # of two lines split by a dip, the one higher by a rounding step gets
+        # its full height and the other only its height above the dip
+        twin = np.nextafter(3.0, 4.0)
+        x = np.array([0.0, 2.0, 3.0, 1.0, twin, 2.0, 0.0])
+        idx, prom = _find_peaks(x, 0.0, 0.0)
+        assert idx.tolist() == [2, 4]
+        assert prom.tolist() == [2.0, twin]
+        assert_matches_find_peaks(x, 0.0, 0.0)
+
+
+def _hilbert_envelope_rate(t, y):
+    """The envelope rate as formed with scipy.signal.hilbert."""
+    env = np.abs(hilbert(y))
+    n = len(y)
+    lo, hi = n // 10, max(n // 10 + 3, 9 * n // 10)
+    seg_t, seg_e = t[lo:hi], env[lo:hi]
+    good = seg_e > 1e-12 * np.max(env)
+    if np.count_nonzero(good) < 3:
+        return 0.0
+    slope = np.polyfit(seg_t[good], np.log(seg_e[good]), 1)[0]
+    return max(-slope, 0.0)
+
+
+class TestEnvelopeRate:
+    @pytest.mark.parametrize("n", [50, 51, 400, 401, 1000, 1001])
+    def test_matches_the_hilbert_form_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        t = np.linspace(0.0, 20.0, n)
+        y = (np.exp(-0.3 * t) * (0.8 * np.cos(1.1 * t) - 0.2 * np.cos(2.3 * t))
+             + 1e-3 * rng.standard_normal(n))
+        rate = _envelope_rate(t, y)
+        assert rate > 0.0
+        assert rate == _hilbert_envelope_rate(t, y)
 
 
 class TestKuboAndersonNarrowing:

@@ -87,6 +87,27 @@ class TestConfigParsing:
         assert cfg.noise.seed == 99
         assert cfg.run.mode == "qrt"
 
+    def test_overrides_leave_the_parsed_tree_alone(self, cfg_file):
+        tree = parse_flat(cfg_file.read_text())
+        assert config_from_tree(tree, {"noise.seed": 99, "sweep.nu": [1.0],
+                                       "sweep.omega_n": [0.5]}).noise.seed == 99
+        cfg = config_from_tree(tree)
+        assert cfg.noise.seed == 11
+        assert cfg.sweep is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("run.windw", "hann"),            # unknown field
+        ("nosection", 3),                 # not a section.field path
+        ("bath.kappa.x", 1.0),            # unknown field under a known section
+        ("grid2.horizon", 1.0),           # unknown section
+        ("run.s1_denominator", "nu"),     # recorded, not settable
+    ])
+    def test_override_keys_checked_as_file_keys(self, cfg_file, key, value):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(cfg_file, overrides={key: value})
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_flat(f"schema_version = 1\n{key} = {json.dumps(value)}\n")
+
     def test_sweep_lists(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text(BASE_CFG + "sweep.nu = [0.5, 1.0]\nsweep.omega_n = [0.75]\n")
@@ -936,9 +957,10 @@ def _module_level_imports(tree):
 
 
 class TestImportFootprint:
-    """Set-up, dynamics and validate load no scipy at all; spectrum and
-    sweep import scipy.signal and scipy.optimize in the functions that call
-    them."""
+    """Set-up, dynamics, spectrum and validate load no scipy at all; sweep
+    imports scipy.optimize (and scipy.linalg, whose BLAS its cells pin) in
+    the functions that call them, never scipy.signal, and on the pool path
+    the parent imports scipy.optimize before it forks the workers."""
 
     def test_setup(self, cfg_file):
         loaded = _scipy_modules_after(
@@ -965,6 +987,41 @@ class TestImportFootprint:
             f"assert telespin.cli.main({['validate', *common, '--paths', '100']!r}) == 0")
         assert not loaded
 
+    def test_spectrum(self, cfg_file, tmp_path):
+        argv = ["spectrum", "--config", str(cfg_file), "--out", str(tmp_path / "out")]
+        loaded = _scipy_modules_after(
+            f"from telespin.cli import main\nassert main({argv!r}) == 0")
+        assert not loaded
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sweep_loads_no_signal(self, tmp_path, workers):
+        path = tmp_path / "s.cfg"
+        path.write_text(BASE_CFG + "sweep.nu = [1.0]\nsweep.omega_n = [0.75]\n")
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                "--workers", workers]
+        loaded = _scipy_modules_after(
+            f"from telespin.cli import main\nassert main({argv!r}) == 0")
+        assert "scipy.optimize" in loaded
+        assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "signal"]}
+
+    def test_pool_parent_loads_optimize_before_forking(self, tmp_path):
+        path = tmp_path / "s.cfg"
+        path.write_text(BASE_CFG + "sweep.nu = [1.0]\nsweep.omega_n = [0.75, 1.0]\n")
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out"),
+                "--workers", "2"]
+        loaded = _scipy_modules_after(
+            "import sys\n"
+            "from telespin import runner\n"
+            "from telespin.cli import main\n"
+            "pool, seen = runner.ProcessPoolExecutor, []\n"
+            "def probe(*args, **kwargs):\n"
+            "    seen.append('scipy.optimize' in sys.modules)\n"
+            "    return pool(*args, **kwargs)\n"
+            "runner.ProcessPoolExecutor = probe\n"
+            f"assert main({argv!r}) == 0\n"
+            "assert seen == [True], seen")
+        assert "scipy.optimize" in loaded
+
     def test_no_module_level_scipy_import(self):
         import telespin
 
@@ -973,3 +1030,15 @@ class TestImportFootprint:
             scipy = [name for name in _module_level_imports(tree)
                      if name == "scipy" or name.startswith("scipy.")]
             assert not scipy, f"{path.name} imports {scipy} at module level"
+
+    def test_no_scipy_signal_import_anywhere(self):
+        import telespin
+
+        for path in sorted(Path(telespin.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                     for alias in node.names]
+            names += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) for alias in node.names]
+            signal = [name for name in names if name.startswith("scipy.signal")]
+            assert not signal, f"{path.name} imports {signal}"
