@@ -29,7 +29,6 @@ class SpectrumResult:
 
     freq_grid: np.ndarray
     power: np.ndarray
-    window: str
 
     @property
     def bin_width(self) -> float:
@@ -68,13 +67,13 @@ class DampedFit:
     degenerate: bool = False
 
 
-def power_spectrum(tau, series, window: str = "hann",
-                   power_mode: str = "re") -> SpectrumResult:
-    """Discrete one-sided transform with PAD_FACTOR-fold zero padding.
+def _transform(tau, series):
+    """(omega, F) on the ascending frequency grid, F(w) the trapezoid sum of
+    c(tau) e^{i w tau} dtau with PAD_FACTOR-fold zero padding.
 
-    window="hann" applies the decaying half of a Hann window, tapering the
-    truncation end while leaving tau = 0 untouched (the series is one-sided).
-    power_mode="abs2" returns |F|^2 instead of Re F.
+    c is the series under the decaying half of a Hann window, which tapers
+    the truncation end and leaves tau = 0 untouched (the series is
+    one-sided).
     """
     tau = np.asarray(tau, dtype=float)
     series = np.asarray(series, dtype=complex)
@@ -90,16 +89,10 @@ def power_spectrum(tau, series, window: str = "hann",
         warnings.warn(
             f"correlator magnitude at the horizon is {tail / head:.1%} of its "
             "initial value; spectrum may show truncation artifacts",
-            stacklevel=2,
+            stacklevel=3,
         )
     n = len(series)
-    if window == "hann":
-        taper = np.hanning(2 * n)[n:]
-    elif window == "none":
-        taper = np.ones(n)
-    else:
-        raise ValueError(f"unknown window: {window!r}")
-    c = series * taper
+    c = series * np.hanning(2 * n)[n:]
     n_pad = PAD_FACTOR * n
     buf = np.zeros(n_pad, dtype=complex)
     buf[:n] = np.conj(c)
@@ -109,15 +102,14 @@ def power_spectrum(tau, series, window: str = "hann",
     transform -= 0.5 * dt * c[0]
     transform -= 0.5 * dt * c[-1] * np.exp(1j * omega * tau[-1] - 1j * omega * tau[0])
     order = np.argsort(omega)
-    omega = omega[order]
-    transform = transform[order]
-    if power_mode == "re":
-        power = transform.real.copy()
-    elif power_mode == "abs2":
-        power = np.abs(transform) ** 2
-    else:
-        raise ValueError(f"unknown power_mode: {power_mode!r}")
-    return SpectrumResult(freq_grid=omega, power=power, window=window)
+    return omega[order], transform[order]
+
+
+def power_spectrum(tau, series) -> SpectrumResult:
+    """Re F of the half-Hann-tapered, zero-padded one-sided transform; the
+    estimator has no switches (README, Conventions)."""
+    omega, transform = _transform(tau, series)
+    return SpectrumResult(freq_grid=omega, power=transform.real.copy())
 
 
 def _find_peaks(x, height, prominence):
@@ -237,8 +229,10 @@ def _exp_jacobian(x, p, k):
 
 
 def fit_exponential(t, y) -> ExpFit:
-    """Nonlinear fit of p + (1 - p) e^{-k t} with multi-start initialization."""
-    from scipy.optimize import curve_fit
+    """Nonlinear fit of p + (1 - p) e^{-k t}: one least-squares solve from
+    the log-linear seed.  A solve that fails or meets non-finite residuals
+    raises RuntimeError."""
+    from scipy.optimize import least_squares
 
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -260,24 +254,20 @@ def fit_exponential(t, y) -> ExpFit:
             if slope < 0:
                 k0 = -slope
 
-    best = None
-    for start in (0.3 * k0, k0, 3.0 * k0):
-        try:
-            popt, _ = curve_fit(
-                _exp_model, tt, y, p0=[p0, start], jac=_exp_jacobian,
-                bounds=([-np.inf, 0.0], [np.inf, np.inf]), maxfev=20000,
-            )
-        except (RuntimeError, ValueError):
-            continue
-        res = _exp_model(tt, *popt) - y
-        ssr = float(res @ res)
-        if best is None or ssr < best[0]:
-            best = (ssr, popt)
-    if best is None:
-        raise RuntimeError("exponential fit failed to converge from all starts")
-    ssr, (p, k) = best
+    try:
+        fit = least_squares(
+            lambda params: _exp_model(tt, *params) - y, x0=[p0, k0],
+            jac=lambda params: _exp_jacobian(tt, *params),
+            bounds=([-np.inf, 0.0], [np.inf, np.inf]),
+        )
+    except ValueError as exc:
+        raise RuntimeError(f"exponential fit failed: {exc}") from exc
+    if not fit.success:
+        raise RuntimeError(f"exponential fit failed to converge: {fit.message}")
+    p, k = fit.x
     return ExpFit(p=float(p), k=float(k),
-                  rms_residual=float(np.sqrt(ssr / len(y))), converged=True)
+                  rms_residual=float(np.sqrt(fit.fun @ fit.fun / len(y))),
+                  converged=True)
 
 
 def _envelope_rate(t, y):
@@ -340,11 +330,10 @@ def fit_damped_cosines(t, y) -> DampedFit:
     if len(t) < MIN_DAMPED_FIT_SAMPLES:
         raise ValueError(f"fit_damped_cosines requires at least {MIN_DAMPED_FIT_SAMPLES} samples")
     tt = t - t[0]
-    spec = power_spectrum(tt, y.astype(complex), window="hann", power_mode="abs2")
-    half = spec.freq_grid >= 0.0
-    half_spec = SpectrumResult(
-        freq_grid=spec.freq_grid[half], power=spec.power[half], window=spec.window
-    )
+    omega, transform = _transform(tt, y.astype(complex))
+    half = omega >= 0.0
+    half_spec = SpectrumResult(freq_grid=omega[half],
+                               power=np.abs(transform[half]) ** 2)
     peaks = sorted(detect_peaks(half_spec, prominence_frac=0.02),
                    key=lambda p: p.power, reverse=True)
     if not peaks:

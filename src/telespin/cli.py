@@ -7,7 +7,9 @@ Subcommands: dynamics, spectrum, sweep, validate.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from pathlib import Path
 
 from .config import ConfigError, load_config
 from .dynamics import MODES, IntegratorError
@@ -54,6 +56,12 @@ def main(argv=None) -> int:
                  if "." in key and value is not None}
     try:
         cfg = load_config(args.config, overrides=overrides)
+        out = Path(args.out).absolute()
+        while not os.path.lexists(out):  # down to the part that exists
+            out = out.parent
+        if not out.is_dir():
+            raise ConfigError(f"--out {args.out} is not a directory and cannot "
+                              "become one")
         if args.command == "dynamics":
             runner.run_dynamics(cfg, args.out, dump_kernels=args.dump_kernels)
         elif args.command == "spectrum":

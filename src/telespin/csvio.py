@@ -1,11 +1,13 @@
 """CSV emission/ingestion: '#'-prefixed metadata, then header, then rows.
 
 Floats are written with 17 significant digits, so round-tripping is exact
-and deterministic runs produce byte-identical files.
+and deterministic runs produce byte-identical files.  A text value that
+holds a comma, a quote or a line break is quoted by the csv module's rules.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -15,11 +17,16 @@ FLOAT_FMT = "%.17g"
 
 
 def _fmt(value) -> str:
+    """One field; text that holds a comma, a quote or a line break is quoted,
+    its quotes doubled (``csv.QUOTE_MINIMAL``)."""
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT % value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 # rows formatted per write: keeps the Python floats and row strings alive
@@ -65,20 +72,17 @@ def read_csv(path):
     otherwise (e.g. status or mode tags).
     """
     meta = {}
-    rows = []
-    header = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        if raw.startswith("#"):
-            key, _, value = raw[1:].partition("=")
+    with Path(path).open(encoding="utf-8", newline="") as fh:
+        line = fh.readline()
+        while line.startswith("#"):
+            key, _, value = line[1:].partition("=")
             meta[key.strip()] = json.loads(value.strip())
-            continue
-        if header is None:
-            header = raw.split(",")
-            continue
-        if raw:
-            rows.append(raw.split(","))
+            line = fh.readline()
+        reader = csv.reader([line, *fh])
+        header = next(reader, [])
+        rows = [r for r in reader if r]
     columns = {}
-    for i, name in enumerate(header or []):
+    for i, name in enumerate(header):
         raw_col = [r[i] for r in rows]
         try:
             columns[name] = np.asarray(raw_col, dtype=float)

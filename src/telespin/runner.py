@@ -1,7 +1,7 @@
 """Experiment drivers behind the CLI subcommands.
 
 Every run writes CSV results plus a resolved_config.json snapshot; sweep
-cells run in a worker pool, each on one BLAS thread, but are emitted in
+cells run in a worker pool, all on one BLAS thread, but are emitted in
 lexicographic grid order, and nothing in the output depends on the worker
 count.
 """
@@ -145,7 +145,6 @@ def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
         report[label] = {
             "peaks": [asdict(p) for p in peaks],
             "bin_width": spec.bin_width,
-            "window": spec.window,
         }
     (outdir / "peaks.json").write_text(json.dumps(report, indent=2) + "\n",
                                        encoding="utf-8")
@@ -244,9 +243,10 @@ def _openblas_thread_controls():
 
 @contextmanager
 def _single_blas_thread():
-    """Run the body with every OpenBLAS at one thread, then restore; scipy's
-    copy is loaded first, or a process's first cell would load it unpinned."""
-    import scipy.linalg  # noqa: F401
+    """Run the body with every OpenBLAS at one thread, then restore.  The
+    fits' scipy.optimize, which loads scipy's copy, is imported first, or
+    the first fit would load that copy unpinned."""
+    import scipy.optimize  # noqa: F401
 
     controls = _openblas_thread_controls()
     saved = [get() for get, _ in controls]
@@ -260,16 +260,12 @@ def _single_blas_thread():
 
 
 def _cell_task(cfg):
-    """One sweep cell on single-threaded BLAS, so concurrent workers do not
-    oversubscribe the cores and the fitted numbers (a threaded dot sums in
-    another order) depend on neither the worker count nor the caller's
-    BLAS setting.  The cell's warnings are re-issued naming the cell, so
-    identical messages from different cells stay apart.  A ConfigError
+    """One sweep cell.  The cell's warnings are re-issued naming the cell,
+    so identical messages from different cells stay apart.  A ConfigError
     stops the sweep; any other failure is recorded in the cell's row."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            with _single_blas_thread():
-                row = sweep_cell(cfg)
+            row = sweep_cell(cfg)
         except ConfigError:
             raise
         except Exception as exc:  # recorded in-row, never dropped
@@ -292,15 +288,16 @@ def run_sweep(cfg: ExperimentConfig, outdir) -> dict:
                           "(sweep.nu and sweep.omega_n)")
     cells = [replace(cfg, noise=replace(cfg.noise, omega_n=om, nu=nu), sweep=None)
              for nu, om in product(cfg.sweep.nu, cfg.sweep.omega_n)]
-    if cfg.run.workers > 1:  # map keeps the cells' order
-        # the fits' scipy.optimize is loaded once here, so forked workers
-        # inherit it instead of each importing it again
-        import scipy.optimize  # noqa: F401
-
-        with ProcessPoolExecutor(max_workers=cfg.run.workers) as pool:
-            rows = list(pool.map(_cell_task, cells))
-    else:
-        rows = [_cell_task(cell) for cell in cells]
+    # every cell runs on single-threaded BLAS, so concurrent workers do not
+    # oversubscribe the cores and the fitted numbers (a threaded dot sums in
+    # another order) depend on neither the worker count nor the caller's
+    # BLAS setting; forked workers inherit the pin and scipy.optimize
+    with _single_blas_thread():
+        if cfg.run.workers > 1:  # map keeps the cells' order
+            with ProcessPoolExecutor(max_workers=cfg.run.workers) as pool:
+                rows = list(pool.map(_cell_task, cells))
+        else:
+            rows = [_cell_task(cell) for cell in cells]
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -37,7 +37,7 @@ def lorentzian_series(omega0, eta, horizon=120.0, dt=0.02):
 class TestPowerSpectrum:
     def test_lorentzian_line(self):
         tau, c = lorentzian_series(1.3, 0.08)
-        spec = power_spectrum(tau, c, window="none")
+        spec = power_spectrum(tau, c)
         peaks = detect_peaks(spec)
         assert len(peaks) == 1
         assert peaks[0].omega == pytest.approx(1.3, abs=spec.bin_width)
@@ -63,8 +63,8 @@ class TestPowerSpectrum:
     def test_conjugate_reflection_identity(self):
         tau, c = lorentzian_series(0.9, 0.12, horizon=60.0)
         c = c + 0.3 * np.exp((-0.4j - 0.2) * tau)
-        sa = power_spectrum(tau, c, window="none")
-        sb = power_spectrum(tau, np.conj(c), window="none")
+        sa = power_spectrum(tau, c)
+        sb = power_spectrum(tau, np.conj(c))
         # S_conj(w) = S(-w); fftfreq leaves the lone extreme bin unpaired
         assert np.allclose(sb.power[1:], sa.power[1:][::-1], atol=1e-10)
 
@@ -84,7 +84,7 @@ class TestDetectPeaks:
     def test_two_separated_lines(self):
         tau, a = lorentzian_series(0.6, 0.05, horizon=200.0)
         _, b = lorentzian_series(1.6, 0.05, horizon=200.0)
-        spec = power_spectrum(tau, a + b, window="none")
+        spec = power_spectrum(tau, a + b)
         peaks = detect_peaks(spec)
         assert len(peaks) == 2
         got = sorted(p.omega for p in peaks)
@@ -94,7 +94,7 @@ class TestDetectPeaks:
     def test_prominence_threshold_filters(self):
         tau, a = lorentzian_series(0.6, 0.05, horizon=200.0)
         _, b = lorentzian_series(1.6, 0.05, horizon=200.0)
-        spec = power_spectrum(tau, a + 0.02 * b, window="none")
+        spec = power_spectrum(tau, a + 0.02 * b)
         assert len(detect_peaks(spec, prominence_frac=0.05)) == 1
         assert len(detect_peaks(spec, prominence_frac=0.005)) == 2
 
@@ -105,7 +105,7 @@ class TestDetectPeaks:
         # ~10^4 local maxima into the spectrum, some of them above threshold
         tau, a = lorentzian_series(0.6, 0.002, horizon=200.0)
         _, b = lorentzian_series(1.6, 0.01, horizon=200.0)
-        spec = power_spectrum(tau, a + 0.1 * b, window="none")
+        spec = power_spectrum(tau, a + 0.1 * b)
         s = spec.power
         assert len(find_peaks(s)[0]) > 5000
         idx, props = find_peaks(s, prominence=frac * np.max(s))
@@ -120,7 +120,7 @@ class TestDetectPeaks:
         power = (1.0 / (1.0 + ((omega - 1.0) / 0.05) ** 2)
                  + 0.052 / (1.0 + ((omega + 2.0) / 0.05) ** 2)
                  + 1e-3 * np.cos(300.0 * omega))
-        spec = SpectrumResult(freq_grid=omega, power=power, window="none")
+        spec = SpectrumResult(freq_grid=omega, power=power)
         idx, props = find_peaks(power, prominence=0.05 * np.max(power))
         peaks = detect_peaks(spec, prominence_frac=0.05)
         assert len(peaks) == 2
@@ -287,6 +287,49 @@ class TestFitExponential:
     def test_too_short(self):
         with pytest.raises(ValueError):
             fit_exponential(np.linspace(0, 1, 5), np.zeros(5))
+
+    @pytest.mark.parametrize("p, k, noise", [
+        (0.2, 0.5, 0.0), (0.6, 0.05, 1e-3), (-0.3, 2.0, 1e-2), (0.9, 0.8, 3e-2),
+    ])
+    def test_one_least_squares_solve_from_the_log_linear_seed(self, monkeypatch,
+                                                              p, k, noise):
+        # the seed is p0 = y[-1] and k0 the negated slope of log((y - p0) /
+        # (y[0] - p0)) over the samples where that ratio exceeds 1e-3
+        import scipy.optimize
+
+        t = np.linspace(1.0, 21.0, 400)
+        y = (p + (1.0 - p) * np.exp(-k * (t - t[0]))
+             + noise * np.random.default_rng(3).standard_normal(t.size))
+        tt = t - t[0]
+        z = (y - y[-1]) / (y[0] - y[-1])
+        good = z > 1e-3
+        seed = [y[-1], -np.polyfit(tt[good], np.log(z[good]), 1)[0]]
+        ref = scipy.optimize.least_squares(
+            lambda q: _exp_model(tt, *q) - y, seed,
+            jac=lambda q: _exp_jacobian(tt, *q), bounds=([-np.inf, 0.0], np.inf))
+
+        solves = []
+        original = scipy.optimize.least_squares
+
+        def counting(*args, **kwargs):
+            solves.append(kwargs.get("x0"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "least_squares", counting)
+        fit = fit_exponential(t, y)
+        assert len(solves) == 1 and list(solves[0]) == seed
+        assert (fit.p, fit.k) == (ref.x[0], ref.x[1])
+        assert fit.rms_residual == np.sqrt(ref.fun @ ref.fun / len(y))
+        assert fit.converged and not fit.degenerate
+
+    @pytest.mark.parametrize("at", [0, 150, -1])
+    def test_series_holding_nan_raises_runtime_error(self, at):
+        # sweep_cell turns a RuntimeError into NaN columns
+        t = np.linspace(0.0, 20.0, 300)
+        y = 0.2 + 0.8 * np.exp(-0.5 * t)
+        y[at] = np.nan
+        with pytest.raises(RuntimeError):
+            fit_exponential(t, y)
 
 
 class TestFitDampedCosines:

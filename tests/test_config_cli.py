@@ -173,16 +173,41 @@ class TestCsvIo:
         _, back = read_csv(path)
         assert back["v"][0] == value
 
+    def test_text_with_commas_quotes_and_line_breaks_round_trips(self, tmp_path):
+        import csv
+
+        path = tmp_path / "x.csv"
+        status = ["ok", "failed: ValueError: shapes (3,) (4,) mismatch",
+                  'said "no"', "two\nlines", ""]
+        cols = {"k": np.array([0.5, np.nan, 1.0, -2.0, 3.0]),
+                "status": np.array(status, dtype=object)}
+        write_csv(path, cols, {"label": "a, b"})
+        meta, back = read_csv(path)
+        assert meta["label"] == "a, b"
+        assert list(back["status"]) == status
+        assert np.array_equal(back["k"], cols["k"], equal_nan=True)
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert rows[0] == ["k", "status"]
+        assert [r[1] for r in rows[1:]] == status
+        # numbers and plain text are written as before, unquoted
+        assert path.read_text().splitlines()[2] == "0.5,ok"
+
 
 def _per_value_csv(columns, metadata):
-    """The per-value CSV formatter that write_csv's row formats replace."""
+    """The per-value CSV formatter that write_csv's row formats replace;
+    text holding a comma, a quote or a line break is quoted as the csv
+    module's QUOTE_MINIMAL quotes it."""
 
     def fmt(value):
         if isinstance(value, (float, np.floating)):
             return "%.17g" % value
         if isinstance(value, (int, np.integer)):
             return str(int(value))
-        return str(value)
+        text = str(value)
+        if set(text) & set(',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
 
     arrays = [np.asarray(columns[k]) for k in columns]
     lines = [f"# {k} = {json.dumps(v)}" for k, v in metadata.items()]
@@ -367,6 +392,32 @@ class TestCli:
         assert "grid.t2" in err and "grid.horizon" in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["dynamics", "sweep"])
+    @pytest.mark.parametrize("where", ["file", "under-file"])
+    def test_unusable_out_exit_code(self, tmp_path, capsys, monkeypatch, command, where):
+        # an --out that is a file, or lies under one, stops before any work
+        import telespin.runner as runner
+
+        path = tmp_path / "run.cfg"
+        path.write_text(BASE_CFG + "sweep.nu = [1.0]\nsweep.omega_n = [0.75]\n")
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n")
+        out = blocker if where == "file" else blocker / "sub" / "out"
+        started = []
+
+        def compute_series(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(runner, "compute_series", compute_series)
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--out" in err and str(out) in err and "Traceback" not in err
+        assert started == []
+        assert blocker.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
     def test_integrator_failure_exit_code(self, cfg_file, tmp_path, monkeypatch):
         import telespin.runner as runner
 
@@ -450,7 +501,10 @@ class TestSweep:
         assert strip((pooled / "sweep.csv").read_bytes()) == strip(
             (serial / "sweep.csv").read_bytes())
 
-    def test_cells_run_on_one_blas_thread_and_restore(self, tmp_path, monkeypatch):
+    def _blas_counts_per_cell(self, tmp_path, monkeypatch, workers):
+        """(each cell's OpenBLAS thread counts, the number of OpenBLAS
+        libraries) of a sweep the caller starts at two threads, checking
+        that the caller's two threads are back after it."""
         import telespin.runner as runner
 
         maps = Path("/proc/self/maps")
@@ -459,32 +513,39 @@ class TestSweep:
         controls = runner._openblas_thread_controls()
         assert controls
         counts = lambda: [get() for get, _ in controls]
-        seen = []
         original = runner.sweep_cell
 
-        def recording(cfg):
-            seen.append(counts())
-            return original(cfg)
+        def recording(cfg):  # the row carries the counts back from a worker
+            return {**original(cfg), "blas_threads": counts()}
 
         monkeypatch.setattr(runner, "sweep_cell", recording)
         path = tmp_path / "s.cfg"
         path.write_text(BASE_CFG + "sweep.nu = [1.0]\nsweep.omega_n = [0.5, 1.0]\n")
+        cfg = load_config(path, overrides={"run.workers": workers})
         saved = counts()
         try:
             for _, put in controls:
                 put(2)
-            assert main(["sweep", "--config", str(path), "--out",
-                         str(tmp_path / "out"), "--workers", "1"]) == 0
+            rows = runner.run_sweep(cfg, tmp_path / "out")["rows"]
             after = counts()
         finally:
             for (_, put), n in zip(controls, saved):
                 put(n)
-        assert seen == [[1] * len(controls)] * 2
         assert after == [2] * len(controls)
+        return [row["blas_threads"] for row in rows], len(controls)
+
+    def test_cells_run_on_one_blas_thread_and_restore(self, tmp_path, monkeypatch):
+        seen, n = self._blas_counts_per_cell(tmp_path, monkeypatch, workers=1)
+        assert seen == [[1] * n] * 2
+
+    def test_pool_cells_run_on_one_blas_thread_and_restore(self, tmp_path, monkeypatch):
+        # the forked workers inherit the pin set once around the whole sweep
+        seen, n = self._blas_counts_per_cell(tmp_path, monkeypatch, workers=2)
+        assert seen == [[1] * n] * 2
 
     def test_first_cell_pins_scipy_blas(self):
-        # in a fresh process scipy's OpenBLAS loads only inside the first
-        # cell's fits; the cell context must have pinned it already
+        # in a fresh process scipy's OpenBLAS is not loaded before the
+        # sweep's first fit; the sweep's pin must have loaded and pinned it
         import telespin
 
         probe = (
@@ -513,7 +574,7 @@ class TestSweep:
         assert main(argv + [str(tmp_path / "good")]) == 0
 
         def no_fit(*args, **kwargs):
-            raise RuntimeError("exponential fit failed to converge from all starts")
+            raise RuntimeError("exponential fit failed to converge")
 
         monkeypatch.setattr(telespin.analysis, "fit_exponential", no_fit)
         assert main(argv + [str(tmp_path / "bad")]) == 0
@@ -958,9 +1019,9 @@ def _module_level_imports(tree):
 
 class TestImportFootprint:
     """Set-up, dynamics, spectrum and validate load no scipy at all; sweep
-    imports scipy.optimize (and scipy.linalg, whose BLAS its cells pin) in
-    the functions that call them, never scipy.signal, and on the pool path
-    the parent imports scipy.optimize before it forks the workers."""
+    imports scipy.optimize, never scipy.signal, in one place: where it pins
+    the BLAS threads of its cells, once per sweep, so on the pool path the
+    parent has loaded it before it forks the workers."""
 
     def test_setup(self, cfg_file):
         loaded = _scipy_modules_after(
