@@ -123,62 +123,41 @@ def _find_peaks(x, height, prominence):
     kept, then those with ``prominence <= x[i] - max(left_min, right_min)``,
     each minimum taken from the peak to the nearest strictly higher sample
     on that side, or to the end of x.
+
+    Between two kept peaks, a sample higher than one of them lies on a slope
+    up to the other (a maximum in between would be a kept peak), so each gap
+    enters the bases only through its minimum: one stack pass each way over
+    [gap, peak, gap, ..., peak, gap] finds them, in work linear in the peaks.
     """
     x = np.asarray(x, dtype=float)
     # b[j] is the last sample of a run of equal samples and b[j] + 1 the
     # first of the next: run 0 starts at 0, run j + 1 at b[j] + 1
     b = np.flatnonzero(x[1:] != x[:-1])
     rise, fall = x[b] < x[b + 1], x[b + 1] < x[b]
-    top = rise[:-1] & fall[1:]  # entry j: run j + 1, ending at b[j + 1]
-    runs = np.flatnonzero(top) + 1
+    runs = np.flatnonzero(rise[:-1] & fall[1:]) + 1  # run r ends at b[r]
     peaks = (b[runs - 1] + 1 + b[runs]) // 2
-    cut = height <= x[peaks]
-    peaks, runs = peaks[cut], runs[cut]
+    peaks = peaks[height <= x[peaks]]
     if not len(peaks):
         return peaks, x[peaks]
-    # x is monotone between its turning runs (the first, the last, every peak
-    # and every valley), so each stretch's minimum is one of theirs, and the
-    # stretches are grown over the turning runs alone
-    turning = np.concatenate(([True], top | (fall[:-1] & rise[1:]), [True]))
-    starts = np.concatenate(([0], b + 1))[turning]
-    position = np.cumsum(turning) - 1
-    prom = x[peaks] - np.maximum(*_stretch_minima(x[starts], position[runs]))
+    seq = np.empty(2 * len(peaks) + 1)
+    seq[0::2] = np.minimum.reduceat(x, np.concatenate(([0], peaks)))
+    seq[1::2] = x[peaks]
+    prom = x[peaks] - np.maximum(_bases(seq)[1::2], _bases(seq[::-1])[::-1][1::2])
     keep = prominence <= prom
     return peaks[keep], prom[keep]
 
 
-def _stretch_minima(x, peaks):
-    """Minimum of x from each peak leftwards and rightwards to the nearest
-    strictly higher sample (excluded) or that end of x.
-
-    The stretches grow by binary lifting over one table of the maxima and
-    minima of x over windows of 2**k samples, so all peaks advance at once,
-    each side in about log2(len(x)) steps.
-    """
-    v = x[peaks]
-    n = len(x)
-    levels = n.bit_length()
-    hi = np.empty((levels, n))
-    lo = np.empty((levels, n))
-    hi[0] = lo[0] = x
-    for k in range(1, levels):  # row k, entry i: over x[i:i + 2**k]
-        h, m = 2 ** (k - 1), n - 2 ** k + 1
-        np.maximum(hi[k - 1, :m], hi[k - 1, h:h + m], out=hi[k, :m])
-        np.minimum(lo[k - 1, :m], lo[k - 1, h:h + m], out=lo[k, :m])
-    first, last = peaks, peaks  # the stretches are x[first:last + 1]
-    left, right = v, v
-    for k in reversed(range(levels)):
-        w = 2 ** k
-        start = first - w  # the window just left of the stretch
-        at = np.maximum(start, 0)
-        grow = (start >= 0) & (hi[k, at] <= v)
-        first = np.where(grow, start, first)
-        left = np.where(grow, np.minimum(left, lo[k, at]), left)
-        at = np.minimum(last + 1, n - w)  # the window just right of it
-        grow = (last + w < n) & (hi[k, at] <= v)
-        last = np.where(grow, last + w, last)
-        right = np.where(grow, np.minimum(right, lo[k, at]), right)
-    return left, right
+def _bases(seq):
+    """Each entry's minimum of seq from just after the nearest strictly
+    higher entry on its left (or the start) up to the entry itself."""
+    stack, bases = [], []  # stack: (entry, minimum since the one below it)
+    for v in seq.tolist():
+        low = v
+        while stack and stack[-1][0] <= v:
+            low = min(low, stack.pop()[1])
+        stack.append((v, low))
+        bases.append(low)
+    return np.array(bases)
 
 
 def detect_peaks(spectrum: SpectrumResult, prominence_frac: float = 0.05):
@@ -193,27 +172,27 @@ def detect_peaks(spectrum: SpectrumResult, prominence_frac: float = 0.05):
     included: of two symmetric lines split by a dip, one gets its full
     height as prominence and the other only its height above the dip, so
     near a narrowing transition the lower twin's count can flip on rounding.
-    Positions are refined by 3-point parabolic interpolation; a flat or
-    non-positive spectrum yields an empty list.
+    Only the peaks that pass a height cut get prominences, so truncation
+    ripple near the floor costs nothing.  Positions are refined by 3-point
+    parabolic interpolation; a flat or non-positive spectrum yields an
+    empty list.
     """
     s = spectrum.power
     top = float(np.max(s)) if len(s) else 0.0
     if top <= 0.0:
         return []
     # a peak of prominence >= threshold stands at least that far above the
-    # global minimum (half of it is cut, leaving room for rounding), and
-    # the height cut comes before the prominences are computed, so
-    # truncation-ripple maxima near the floor cost nothing
+    # global minimum (half of it is cut, leaving room for rounding); the
+    # prominences' stack pass runs over the peaks that pass this height cut
+    # alone, so truncation-ripple maxima near the floor never enter it
     threshold = prominence_frac * top
     idx, proms = _find_peaks(s, float(np.min(s)) + 0.5 * threshold, threshold)
     peaks = []
-    dw = spectrum.bin_width
     for i, prom in zip(idx, proms):
         omega = spectrum.freq_grid[i]
-        if 0 < i < len(s) - 1:
-            denom = s[i - 1] - 2.0 * s[i] + s[i + 1]
-            if denom != 0.0:
-                omega = omega + 0.5 * (s[i - 1] - s[i + 1]) / denom * dw
+        denom = s[i - 1] - 2.0 * s[i] + s[i + 1]
+        if denom != 0.0:
+            omega += 0.5 * (s[i - 1] - s[i + 1]) / denom * spectrum.bin_width
         peaks.append(Peak(omega=float(omega), power=float(s[i]), prominence=float(prom)))
     return peaks
 

@@ -50,20 +50,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _can_be_dir(path) -> bool:
+    """Whether path is a directory or mkdir(parents=True) can make it one."""
+    path = Path(path).absolute()
+    while not os.path.lexists(path):  # down to the part that exists
+        path = path.parent
+    return path.is_dir()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {key: value for key, value in vars(args).items()
                  if "." in key and value is not None}
+    dump = getattr(args, "dump_kernels", None)
     try:
         cfg = load_config(args.config, overrides=overrides)
-        out = Path(args.out).absolute()
-        while not os.path.lexists(out):  # down to the part that exists
-            out = out.parent
-        if not out.is_dir():
-            raise ConfigError(f"--out {args.out} is not a directory and cannot "
-                              "become one")
+        if not _can_be_dir(args.out):
+            raise ConfigError(f"--out {args.out} is not a directory and cannot become one")
+        if dump and (Path(dump).is_dir() or not _can_be_dir(Path(dump).parent)):
+            raise ConfigError(f"--dump-kernels {dump} is a directory or lies under a file")
         if args.command == "dynamics":
-            runner.run_dynamics(cfg, args.out, dump_kernels=args.dump_kernels)
+            runner.run_dynamics(cfg, args.out, dump_kernels=dump)
         elif args.command == "spectrum":
             runner.run_spectrum(cfg, args.out)
         elif args.command == "sweep":

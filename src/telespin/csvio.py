@@ -1,8 +1,8 @@
 """CSV emission/ingestion: '#'-prefixed metadata, then header, then rows.
 
 Floats are written with 17 significant digits, so round-tripping is exact
-and deterministic runs produce byte-identical files.  A text value that
-holds a comma, a quote or a line break is quoted by the csv module's rules.
+and deterministic runs produce byte-identical files.  Text that is empty
+or holds a comma, a quote or a line break is quoted, its quotes doubled.
 """
 
 from __future__ import annotations
@@ -17,14 +17,15 @@ FLOAT_FMT = "%.17g"
 
 
 def _fmt(value) -> str:
-    """One field; text that holds a comma, a quote or a line break is quoted,
-    its quotes doubled (``csv.QUOTE_MINIMAL``)."""
+    """One field; text that is empty (a lone empty field would be an empty
+    line) or holds a comma, a quote or a line break is quoted, its quotes
+    doubled (``csv.QUOTE_MINIMAL``)."""
     if isinstance(value, (float, np.floating)):
         return FLOAT_FMT % value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     text = str(value)
-    if any(c in text for c in ',"\r\n'):
+    if not text or any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 

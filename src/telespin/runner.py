@@ -72,12 +72,6 @@ def _write_config(cfg, outdir, **extra):
                     encoding="utf-8")
 
 
-def _spectrum_and_peaks(tau, y):
-    """Power spectrum of y(tau) and its peaks (README, Conventions)."""
-    spec = analysis.power_spectrum(tau, y)
-    return spec, analysis.detect_peaks(spec)
-
-
 def compute_series(cfg: ExperimentConfig, mode=None):
     """Shared pipeline: table, single-time background (solved once and
     passed on), anchor, then the requested propagations."""
@@ -109,6 +103,7 @@ def run_dynamics(cfg: ExperimentConfig, outdir, dump_kernels=None) -> dict:
         written[tag] = outdir / f"{tag}.csv"
     if dump_kernels:
         kernels = {name: getattr(table, name) for name in _KERNELS}
+        Path(dump_kernels).parent.mkdir(parents=True, exist_ok=True)
         write_csv(Path(dump_kernels), _complex_columns("t", table.ts, kernels),
                   {**meta, "file": "kernels"})
     _write_config(cfg, outdir, t2=series.t2)
@@ -136,16 +131,14 @@ def run_spectrum(cfg: ExperimentConfig, outdir) -> dict:
     meta = cfg.resolved_dict(t2=series.t2, spectrum_mode=mode)
     report = {}
     for label, column in (("absorption", 4), ("emission", 2)):
-        spec, peaks = _spectrum_and_peaks(tau, y[:, column])
+        spec = analysis.power_spectrum(tau, y[:, column])
+        report[label] = {"peaks": [asdict(p) for p in analysis.detect_peaks(spec)],
+                         "bin_width": spec.bin_width}
         write_csv(
             outdir / f"{label}.csv",
             {"omega": spec.freq_grid, "power": spec.power},
             {**meta, "file": label},
         )
-        report[label] = {
-            "peaks": [asdict(p) for p in peaks],
-            "bin_width": spec.bin_width,
-        }
     (outdir / "peaks.json").write_text(json.dumps(report, indent=2) + "\n",
                                        encoding="utf-8")
     _write_config(cfg, outdir, t2=series.t2, spectrum_mode=mode)
@@ -206,8 +199,8 @@ def sweep_cell(cfg: ExperimentConfig) -> dict:
             except ValueError:
                 pass
     spectrum_source = y_corr[:, 4] if y_corr is not None else series.qrt[:, 4]
-    _, peaks = _spectrum_and_peaks(t1 - series.t2, spectrum_source)
-    out["peaks_absorption"] = len(peaks)
+    spec = analysis.power_spectrum(t1 - series.t2, spectrum_source)
+    out["peaks_absorption"] = len(analysis.detect_peaks(spec))
     return out
 
 

@@ -183,6 +183,30 @@ class TestFindPeaksMatchesScipy:
         x = np.cumsum(np.random.default_rng(n).standard_normal(n))
         assert_matches_find_peaks(x, -np.inf, 0.0)
 
+    @pytest.mark.parametrize("n", [1001, 4097, 50000])
+    def test_random_walk_cut_at_its_median(self, n):
+        # about half the maxima are kept, and a kept peak's bases lie past
+        # many gaps between kept peaks, each holding cut maxima
+        x = np.cumsum(np.random.default_rng(n).standard_normal(n))
+        assert_matches_find_peaks(x, float(np.median(x)), 0.0)
+
+    @pytest.mark.parametrize("x, height", [
+        # the 2's nearest higher sample, the 3, lies on the 5's slope
+        pytest.param([0, 5, 4, 3, 1, 2, 0], -np.inf, id="higher-on-a-slope"),
+        pytest.param([0, 2, 1, 3, 4, 5, 0], -np.inf, id="higher-on-a-slope-right"),
+        # runs at the ends are no peaks, but end the kept peak's stretch
+        pytest.param([5, 5, 1, 3, 0], -np.inf, id="higher-run-at-start"),
+        pytest.param([0, 3, 1, 5, 5], -np.inf, id="higher-run-at-end"),
+        pytest.param([6, 1, 4, 2, 3, 0, 7], 3.5, id="higher-ends-ripple-cut"),
+        # equal kept peaks see past each other, over the cut ripple
+        pytest.param([0, 3, 1, 1.5, 1.2, 1.6, 1, 3, 0.5], 2.0, id="equal-peaks-ripple"),
+        pytest.param([1, 3, 3, 0, 2, 0.5, 3, 1, 2.5, 3, 3, 3, 0], 2.8,
+                     id="equal-plateaus-ripple"),
+    ])
+    def test_gaps_between_kept_peaks(self, x, height):
+        x = np.array(x, dtype=float)
+        assert_matches_find_peaks(x, height, 0.0)
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
     @pytest.mark.parametrize("value", [-1.5, 0.0, 2.0])
     def test_flat(self, n, value):

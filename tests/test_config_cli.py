@@ -193,11 +193,24 @@ class TestCsvIo:
         # numbers and plain text are written as before, unquoted
         assert path.read_text().splitlines()[2] == "0.5,ok"
 
+    @pytest.mark.parametrize("columns", ["status", "k,status"])
+    def test_empty_text_round_trips(self, tmp_path, columns):
+        # a one-column row of empty text is written "", not as an empty line
+        path = tmp_path / "x.csv"
+        status = ["ok", "", "x"]
+        cols = {"status": np.array(status, dtype=object)}
+        if columns == "k,status":
+            cols = {"k": np.array([0.5, 1.0, 2.0]), **cols}
+        write_csv(path, cols)
+        _, back = read_csv(path)
+        assert list(back) == columns.split(",")
+        assert list(back["status"]) == status
+
 
 def _per_value_csv(columns, metadata):
     """The per-value CSV formatter that write_csv's row formats replace;
     text holding a comma, a quote or a line break is quoted as the csv
-    module's QUOTE_MINIMAL quotes it."""
+    module's QUOTE_MINIMAL quotes it, and empty text is written ""."""
 
     def fmt(value):
         if isinstance(value, (float, np.floating)):
@@ -205,7 +218,7 @@ def _per_value_csv(columns, metadata):
         if isinstance(value, (int, np.integer)):
             return str(int(value))
         text = str(value)
-        if set(text) & set(',"\r\n'):
+        if not text or set(text) & set(',"\r\n'):
             return '"' + text.replace('"', '""') + '"'
         return text
 
@@ -417,6 +430,48 @@ class TestCli:
         assert started == []
         assert blocker.read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
+    @pytest.mark.parametrize("where", ["parent-file", "under-file", "directory"])
+    def test_unusable_dump_kernels_exit_code(self, cfg_file, tmp_path, capsys,
+                                             monkeypatch, where):
+        # a dump path under a file, or one that is a directory, stops before
+        # any work, --out included
+        import telespin.runner as runner
+
+        blocker = tmp_path / "taken"
+        if where == "directory":
+            blocker.mkdir()
+            dump = blocker
+        else:
+            blocker.write_text("keep\n")
+            dump = blocker / ("k.csv" if where == "parent-file" else "sub/k.csv")
+        started = []
+
+        def compute_series(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(runner, "compute_series", compute_series)
+        out = tmp_path / "out"
+        rc = main(["dynamics", "--config", str(cfg_file), "--out", str(out),
+                   "--dump-kernels", str(dump)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "--dump-kernels" in err and str(dump) in err and "Traceback" not in err
+        assert started == []
+        assert not out.exists()
+        if where == "directory":
+            assert list(blocker.iterdir()) == []
+        else:
+            assert blocker.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
+    def test_dump_kernels_makes_missing_parents(self, cfg_file, tmp_path):
+        dump = tmp_path / "new" / "sub" / "k.csv"
+        assert main(["dynamics", "--config", str(cfg_file), "--out",
+                     str(tmp_path / "out"), "--dump-kernels", str(dump)]) == 0
+        meta, cols = read_csv(dump)
+        assert meta["file"] == "kernels" and "re_g11" in cols
 
     def test_integrator_failure_exit_code(self, cfg_file, tmp_path, monkeypatch):
         import telespin.runner as runner
