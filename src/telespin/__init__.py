@@ -15,6 +15,7 @@ from .dynamics import (
     CorrelationSeries,
     IntegratorError,
     SystemSpec,
+    anchor_node,
     assemble_generator,
     choose_t2,
     equal_time_initials,

@@ -21,6 +21,7 @@ from .kernels import KernelTable
 
 MODES = ("qrt", "qrt+", "both")
 
+#: relative and absolute tolerances of every averaged RK45 solve
 RTOL = 1e-8
 ATOL = 1e-10
 
@@ -124,10 +125,10 @@ def _rms(x):
     return math.sqrt(re.dot(re) + im.dot(im)) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0):
     """First step size (Hairer, Nørsett & Wanner, Solving ODEs I, II.4)."""
     interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
+    scale = ATOL + np.abs(y0) * RTOL
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -141,8 +142,9 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _propagate(rhs, y0, t_out, rtol, atol, what, size, bound, breach):
-    """Dormand–Prince RK45 from t_out[0] to t_out[-1], sampled on t_out.
+def _propagate(rhs, y0, t_out, what, size, bound, breach):
+    """Dormand–Prince RK45 from t_out[0] to t_out[-1], sampled on t_out, at
+    the module tolerances RTOL and ATOL.
 
     The adaptive stepper repeats scipy's RK45 operation for operation (its
     tableau literals, initial-step rule, step-size factors 0.9/0.2/10 and
@@ -173,7 +175,7 @@ def _propagate(rhs, y0, t_out, rtol, atol, what, size, bound, breach):
     t, t_bound = float(t_out[0]), float(t_out[-1])
     y = y0
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, t_bound, f, rtol, atol)
+    h_abs = _initial_step(fun, t, y, t_bound, f)
     K = np.empty((len(_C) + 1, y.size), dtype=complex)
     stages = [(K[s], K[:s].T, a, c)
               for s, (a, c) in enumerate(zip(_A, _C[1:]), start=1)]
@@ -197,7 +199,7 @@ def _propagate(rhs, y0, t_out, rtol, atol, what, size, bound, breach):
             y_new = y + h * np.dot(k_body, _B)
             f_new = fun(t + h, y_new)
             K[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
             error_norm = _rms(np.dot(k_all, _E) * h / scale)
             if error_norm < 1:
                 factor = (_MAX_FACTOR if error_norm == 0 else
@@ -226,7 +228,7 @@ def _propagate(rhs, y0, t_out, rtol, atol, what, size, bound, breach):
     return np.hstack(blocks)
 
 
-def evolve_single_time(table: KernelTable, initial_sz: float, rtol=RTOL, atol=ATOL):
+def evolve_single_time(table: KernelTable, initial_sz: float):
     """(g1, g2) on the table grid from g1(0) = initial_sz, g2(0) = 0.
 
     Raises IntegratorError if a step fails, or at the first grid node where
@@ -246,16 +248,28 @@ def evolve_single_time(table: KernelTable, initial_sz: float, rtol=RTOL, atol=AT
                 f"|Re g1| = {size:.9f} at t = {t:.6f}")
 
     g1, g2 = _propagate(
-        rhs, np.array([initial_sz, 0.0], dtype=complex), table.ts, rtol, atol,
+        rhs, np.array([initial_sz, 0.0], dtype=complex), table.ts,
         "single-time integration", lambda block: np.abs(block[0].real),
         1.0 + 1e-6, breach,
     )
     return g1, g2
 
 
+def anchor_node(ts, t) -> float:
+    """The anchor for t on the uniform grid ts: the nearest node, moved up to
+    an even index (the oracle steps 2 dt from t = 0).  ValueError past
+    ts[-3], which leaves no two-time step before the horizon."""
+    i = int(round(t / (ts[1] - ts[0])))
+    i += i % 2
+    if i > len(ts) - 3:
+        raise ValueError(f"lies past t = {ts[-3]:.6g}, the last anchor that "
+                         f"leaves a two-time step before the horizon")
+    return float(ts[i])
+
+
 def choose_t2(ts, g1):
-    """Quasi-stationary anchor: earliest grid time from which |g1 - g1(end)|
-    stays below ANCHOR_FRAC * |g1(0) - g1(end)|.
+    """Quasi-stationary anchor: the anchor_node of the earliest grid time
+    from which |g1 - g1(end)| stays below ANCHOR_FRAC * |g1(0) - g1(end)|.
 
     The suffix maximum makes the criterion persistent (a transient crossing
     during an oscillation does not qualify).  Falls back to
@@ -270,10 +284,10 @@ def choose_t2(ts, g1):
     suffix = np.maximum.accumulate(tail[::-1])[::-1]
     ok = suffix < ANCHOR_FRAC * scale
     cap = ANCHOR_CAP_FRAC * ts[-1]
-    if not ok.any():
-        return float(ts[np.searchsorted(ts, cap)])
-    t = float(ts[int(np.argmax(ok))])
-    return t if t <= cap else float(ts[np.searchsorted(ts, cap)])
+    i = int(np.argmax(ok))
+    if not ok.any() or ts[i] > cap:
+        i = int(np.searchsorted(ts, cap))
+    return anchor_node(ts, float(ts[i]))
 
 
 def assemble_generator(
@@ -320,8 +334,6 @@ def evolve_two_time(
     g2: np.ndarray,
     t2: float,
     mode: str = "both",
-    rtol: float = RTOL,
-    atol: float = ATOL,
 ) -> CorrelationSeries:
     """Y(t1) per mode from the anchor t2, given the single-time background.
 
@@ -354,7 +366,7 @@ def evolve_two_time(
                     f"at t1 = {t1:.6f} (t2 = {t2:.6f})")
 
         return _propagate(
-            rhs, y0, t_out, rtol, atol, f"two-time integration ({m})",
+            rhs, y0, t_out, f"two-time integration ({m})",
             lambda block: np.abs(block[0]), 1.0 + 1e-3, breach,
         ).T
 

@@ -416,13 +416,13 @@ def _estimate(sums, m2_re, n):
     return MCEstimate(mean=sums / n, se_re=np.sqrt(m2_re / max(n - 1, 1) / n))
 
 
-def _block_sums(paths, table, i2, initial_sz, mode):
-    """For sz, zz, pm and mp in turn: the sum over one block's paths and the
-    sum of squared deviations of the real part from the block mean.  The
-    per-path series are freed on return."""
+def _block_sums(paths, table, i2, initial_sz):
+    """For qrt+ sz, zz, pm and mp in turn: the sum over one block's paths
+    and the sum of squared deviations of the real part from the block mean.
+    The per-path series are freed on return."""
     n = len(paths)
     sums = []
-    for arr in _evolve_block(paths, table, i2, initial_sz, mode):
+    for arr in _evolve_block(paths, table, i2, initial_sz, "qrt+"):
         total = arr.sum(axis=0)
         dev = arr.real - total.real / n
         np.square(dev, out=dev)
@@ -442,11 +442,11 @@ def _merge(acc, n_acc, blk, n_blk):
     return out
 
 
-def monte_carlo(table, t2, initial_sz, seed, n_paths, mode="qrt+"):
-    """Ensemble means and standard errors of the four correlators of the
-    run tabulated in ``table``, from the anchor t2, an even node, and
-    <sigma_z(0)> = initial_sz; paths are sampled with ``seed`` at the
-    table's noise amplitude and rate.
+def monte_carlo(table, t2, initial_sz, seed, n_paths):
+    """Ensemble means and standard errors of the four qrt+ correlators of
+    the run tabulated in ``table``, from the anchor t2, an even node
+    (dynamics.anchor_node gives one), and <sigma_z(0)> = initial_sz; paths
+    are sampled with ``seed`` at the table's noise amplitude and rate.
 
     Results are bit-identical for a fixed (seed, n_paths) regardless of how
     the work is scheduled: path p always uses stream index p, blocks hold a
@@ -460,7 +460,8 @@ def monte_carlo(table, t2, initial_sz, seed, n_paths, mode="qrt+"):
     ts = table.ts
     i2 = table.node_index(t2)
     if i2 % 2:
-        raise ValueError("t2 must fall on a coarse output node")
+        raise ValueError("t2 must fall on a coarse output node "
+                         "(an even one, as dynamics.anchor_node gives)")
     horizon = float(ts[-1])
     noise = NoiseSpec(table.omega_n, table.nu, seed)
 
@@ -468,7 +469,7 @@ def monte_carlo(table, t2, initial_sz, seed, n_paths, mode="qrt+"):
     for start in range(0, n_paths, BLOCK):
         stop = min(n_paths, start + BLOCK)
         paths = [sample_path(noise, horizon, s) for s in range(start, stop)]
-        sums = _block_sums(paths, table, i2, initial_sz, mode)
+        sums = _block_sums(paths, table, i2, initial_sz)
         totals = sums if totals is None else _merge(
             totals, start, sums, stop - start
         )

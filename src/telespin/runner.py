@@ -24,6 +24,7 @@ from .config import ConfigError, ExperimentConfig
 from .csvio import write_csv
 from .dynamics import (
     IntegratorError,
+    anchor_node,
     choose_t2,
     evolve_single_time,
     evolve_two_time,
@@ -40,21 +41,13 @@ _KERNELS = ("g11", "g12", "g21", "g22", "g51", "g52", "g61", "g62")
 
 
 def _resolve_anchor(cfg: ExperimentConfig, table, g1) -> float:
-    """t2 from config or policy, snapped to a coarse (even) grid node that
-    leaves at least one two-time step before the horizon."""
-    if cfg.grid.t2 == "auto":
-        t2 = choose_t2(table.ts, g1)
-    else:
-        t2 = float(cfg.grid.t2)
-    i2 = int(round(t2 / table.dt))
-    i2 += i2 % 2
-    last = len(table.ts) - 3
-    if i2 > last:
-        raise ConfigError(
-            f"grid.t2 = {cfg.grid.t2} lies past t = {table.ts[last]:.6g}, "
-            f"the last anchor that leaves a two-time step before the horizon"
-        )
-    return float(table.ts[i2])
+    """t2 from the anchor policy or from config, on an admissible node."""
+    try:
+        if cfg.grid.t2 == "auto":
+            return choose_t2(table.ts, g1)
+        return anchor_node(table.ts, float(cfg.grid.t2))
+    except ValueError as exc:
+        raise ConfigError(f"grid.t2 = {cfg.grid.t2} {exc}") from exc
 
 
 def _complex_columns(axis, values, arrays: dict) -> dict:
@@ -313,8 +306,9 @@ def run_validate(cfg: ExperimentConfig, outdir) -> dict:
     table, series = compute_series(cfg, mode="qrt+")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # n_paths by keyword: the benchmark's tracer reads it from the keywords
     mc = monte_carlo(table, series.t2, cfg.system.initial_sz, cfg.noise.seed,
-                     n_paths=cfg.run.n_paths, mode="qrt+")
+                     n_paths=cfg.run.n_paths)
     stride = 2  # oracle output lives on coarse nodes
     exact = {
         "zz": series.qrt_plus[::stride, 0],

@@ -13,7 +13,7 @@ import pytest
 
 import telespin as ts
 from telespin.config import ExperimentConfig, GridConfig
-from telespin.runner import compute_series, run_sweep, sweep_cell
+from telespin.runner import compute_series, run_sweep
 
 SEED = 20260810
 
@@ -68,28 +68,31 @@ class TestA1NoNoiseReduction:
 
 
 class TestA2OracleEquivalence:
-    def test_criterion(self):
-        cfg = make_cfg(HOT, eps0=1.0, nu=1.0, omega=0.75, horizon=40.0)
+    @staticmethod
+    def check(name, cfg, n_paths, paths_label):
+        """The oracle against qrt+ on the coarse nodes from the run's anchor:
+        the largest standardized deviation per correlator below 3."""
         table, series = compute_series(cfg, mode="qrt+")
         mc = ts.monte_carlo(table, series.t2, cfg.system.initial_sz,
-                            cfg.noise.seed, 10000, mode="qrt+")
-        exact = {
-            "zz": series.qrt_plus[::2, 0],
-            "pm": series.qrt_plus[::2, 2],
-            "mp": series.qrt_plus[::2, 4],
-        }
-        devs = {
-            key: float(np.max(ts.standardized_deviation(mc[key], exact[key])))
-            for key in exact
-        }
-        ok = all(v < 3.0 for v in devs.values())
-        assert verdict(
-            "A2",
-            ok,
-            "max standardized deviation "
-            + ", ".join(f"{k}={v:.2f}" for k, v in devs.items())
-            + " (threshold 3, 10^4 paths)",
-        )
+                            cfg.noise.seed, n_paths)
+        devs = {key: float(np.max(ts.standardized_deviation(
+                    mc[key], series.qrt_plus[::2, column])))
+                for key, column in (("zz", 0), ("pm", 2), ("mp", 4))}
+        assert verdict(name, all(v < 3.0 for v in devs.values()),
+                       "max standardized deviation "
+                       + ", ".join(f"{k}={v:.2f}" for k, v in devs.items())
+                       + f" (threshold 3, {paths_label})")
+
+    def test_criterion(self):
+        self.check("A2", make_cfg(HOT, eps0=1.0, nu=1.0, omega=0.75, horizon=40.0),
+                   10000, "10^4 paths")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the averaged S1 "
+                       "entries carry the wrong sign, which the cold bath shows")
+    def test_cold_bath(self):
+        self.check("A2 cold bath", make_cfg(COLD, eps0=0.0, nu=0.05, omega=0.75,
+                                            horizon=60.0, t2=2.0, seed=0),
+                   256, "256 paths")
 
 
 class TestA3SpectralPeaks:
@@ -267,23 +270,14 @@ class TestA8NumericalHygiene:
         assert verdict("A8a", worst < 1e-4,
                        f"kernel grid-doubling relative change {worst:.2e}")
 
-    def test_integrator_step_doubling(self):
+    def test_integrator_step_doubling(self, monkeypatch):
         cfg = make_cfg(HOT, eps0=1.0, nu=1.0, omega=0.75, horizon=8.0, t2=2.0)
-        ts_grid = cfg.resolve_ts()
-        table = ts.build_single_time(ts_grid, cfg.bath, cfg.system, cfg.noise)
-        i2 = int(round(2.0 / table.dt))
-        t2 = float(table.ts[i2 + i2 % 2])
+        a = compute_series(cfg, mode="qrt+")[1].qrt_plus[:, 0].real
         # the halved tolerances reach the background solve too
-        a = ts.evolve_two_time(
-            table, *ts.evolve_single_time(table, cfg.system.initial_sz), t2,
-            mode="qrt+",
-        )
-        b = ts.evolve_two_time(
-            table,
-            *ts.evolve_single_time(table, cfg.system.initial_sz, 5e-9, 5e-11),
-            t2, mode="qrt+", rtol=5e-9, atol=5e-11,
-        )
-        gap = float(np.max(np.abs(a.qrt_plus[:, 0].real - b.qrt_plus[:, 0].real)))
+        monkeypatch.setattr(ts.dynamics, "RTOL", 5e-9)
+        monkeypatch.setattr(ts.dynamics, "ATOL", 5e-11)
+        b = compute_series(cfg, mode="qrt+")[1].qrt_plus[:, 0].real
+        gap = float(np.max(np.abs(a - b)))
         assert verdict("A8b", gap < 1e-5,
                        f"tolerance-halving change in Re zz {gap:.2e}")
 
@@ -352,10 +346,8 @@ class TestA8NumericalHygiene:
             bodies.append([l for l in lines if not l.startswith(b"# run.workers")])
         same_sweep = bodies[0] == bodies[1]
 
-        grid = cfg.resolve_ts()
-        i2 = int(round(2.0 / (grid[1] - grid[0])))
-        t2 = float(grid[i2 + i2 % 2])
-        table = ts.build_single_time(grid, cfg.bath, cfg.system, cfg.noise)
+        table = ts.build_single_time(cfg.resolve_ts(), cfg.bath, cfg.system, cfg.noise)
+        t2 = ts.anchor_node(table.ts, 2.0)
         mc1 = ts.monte_carlo(table, t2, cfg.system.initial_sz, cfg.noise.seed, 128)
         mc2 = ts.monte_carlo(table, t2, cfg.system.initial_sz, cfg.noise.seed, 128)
         same_mc = all(np.array_equal(mc1[k].mean, mc2[k].mean)

@@ -799,6 +799,17 @@ class TestConfigErrors:
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command", ["dynamics", "spectrum", "validate"])
+    def test_anchor_past_the_horizon(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.cfg"
+        path.write_text(BASE_CFG.replace("grid.t2 = 2.0", "grid.t2 = 10.0"))
+        last = load_config(path).resolve_ts()[-3]
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: grid.t2 = 10.0 lies past t = {last:.6g}, "
+            f"the last anchor that leaves a two-time step before the horizon\n")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("lines, field", [
         ("sweep.nu = [0.0, 1.0]\nsweep.omega_n = [0.75]", "sweep.nu"),
         ("sweep.nu = [1.0]\nsweep.omega_n = [-1.0]", "sweep.omega_n"),

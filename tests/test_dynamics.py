@@ -14,32 +14,31 @@ from telespin.dynamics import (
     RTOL,
     IntegratorError,
     SystemSpec,
+    anchor_node,
     assemble_generator,
     choose_t2,
     equal_time_initials,
     evolve_single_time,
     evolve_two_time,
 )
-from telespin.kernels import build_single_time
 from telespin.noise import NoiseSpec, propagators
 
-from test_kernels import (REFERENCE_TABLES, make_grid, make_table, node_or_any_time,
+from test_kernels import (REFERENCE_TABLES, make_table, node_or_any_time,
                           reference_single_time_at, reference_table)
 
 
-def node_near(table, t):
-    i = int(round(t / table.dt))
-    i += i % 2
-    return float(table.ts[i])
+def hot_table(horizon, omega_n=0.75, v=1.0):
+    """A system at bias 1 and its hot-bath table at nu = 1."""
+    system = SystemSpec(1.0, v=v)
+    return system, make_table(HOT, system, NoiseSpec(omega_n, 1.0), horizon)
 
 
-def propagate(table, system, mode, t2=None, rtol=RTOL, atol=ATOL):
-    """Background solve, anchor (choose_t2 unless given), two-time solve;
-    the tolerances reach both solves."""
-    g1, g2 = evolve_single_time(table, system.initial_sz, rtol, atol)
+def propagate(table, system, mode, t2=None):
+    """Background solve, anchor (choose_t2 unless given), two-time solve."""
+    g1, g2 = evolve_single_time(table, system.initial_sz)
     if t2 is None:
         t2 = choose_t2(table.ts, g1)
-    return evolve_two_time(table, g1, g2, t2, mode, rtol, atol)
+    return evolve_two_time(table, g1, g2, t2, mode)
 
 
 HOT = BathSpec(2.0, 1.0, 0.5, 0.02)
@@ -72,21 +71,18 @@ class TestEqualTimeInitials:
 
 class TestSingleTime:
     def test_no_tunneling_is_static(self):
-        system = SystemSpec(1.0, v=0.0)
-        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 4.0)
+        _, table = hot_table(4.0, v=0.0)
         g1, g2 = evolve_single_time(table, 0.7)
         assert np.allclose(g1.real, 0.7, atol=1e-9)
         assert np.allclose(g2.real, 0.0, atol=1e-12)
 
     def test_no_noise_keeps_g2_zero(self):
-        system = SystemSpec(1.0, v=1.0)
-        table = make_table(HOT, system, NoiseSpec(0.0, 1.0), 6.0)
+        _, table = hot_table(6.0, omega_n=0.0)
         g1, g2 = evolve_single_time(table, 1.0)
         assert np.max(np.abs(g2)) < 1e-12
 
     def test_physicality(self):
-        system = SystemSpec(1.0, v=1.0)
-        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 20.0)
+        _, table = hot_table(20.0)
         g1, _ = evolve_single_time(table, 1.0)
         assert np.max(np.abs(g1.real)) <= 1.0 + 1e-6
 
@@ -111,13 +107,37 @@ class TestChooseT2:
         g = np.cos(2.0 * ts)  # never settles
         assert choose_t2(ts, g) <= 0.6 * ts[-1] + 1e-12
 
+    def test_odd_settle_node_moves_up_to_even(self):
+        ts = np.linspace(0.0, 10.0, 101)
+        g = np.where(np.arange(len(ts)) < 37, 1.0, 0.0)  # settles at node 37
+        assert choose_t2(ts, g) == ts[38]
+
+    def test_odd_cap_node_moves_up_to_even(self):
+        ts = np.linspace(0.0, 10.0, 102)  # the cap 6 first reaches node 61
+        assert np.searchsorted(ts, 6.0) == 61
+        assert choose_t2(ts, np.cos(2.0 * ts)) == ts[62]
+
+
+class TestAnchorNode:
+    TS = np.linspace(0.0, 10.0, 101)
+
+    @pytest.mark.parametrize("t, node", [(0.0, 0), (0.04, 0), (0.06, 2),
+                                         (0.34, 4), (0.42, 4), (0.46, 6),
+                                         (9.8, 98)])
+    def test_nearest_node_moved_up_to_even(self, t, node):
+        assert anchor_node(self.TS, t) == self.TS[node]
+
+    @pytest.mark.parametrize("t", [9.86, 10.0, 25.0])
+    def test_past_the_third_last_node_raises(self, t):
+        with pytest.raises(ValueError, match=r"^lies past t = 9\.8, the last anchor "
+                           "that leaves a two-time step before the horizon$"):
+            anchor_node(self.TS, t)
+
 
 class TestGenerator:
     def setup_method(self):
-        self.system = SystemSpec(1.0, v=1.0)
-        self.noise = NoiseSpec(0.75, 1.0)
-        self.table = make_table(HOT, self.system, self.noise, 6.0)
-        self.t2 = float(self.table.ts[(len(self.table.ts) // 3 // 2) * 2])
+        _, self.table = hot_table(6.0)
+        self.t2 = anchor_node(self.table.ts, 2.0)
 
     def test_qrt_zeroes_two_time_blocks(self):
         A, _ = assemble_generator(
@@ -134,7 +154,7 @@ class TestGenerator:
             assert np.allclose(bq, bp, atol=1e-15)
 
     def test_no_noise_decouples_alpha_sector(self):
-        table = make_table(HOT, self.system, NoiseSpec(0.0, 1.0), 6.0)
+        _, table = hot_table(6.0, omega_n=0.0)
         A, _ = assemble_generator(self.t2 + 0.3, self.t2, table, 0.5, 0.0, "qrt+")
         plain, alpha = [0, 2, 4], [1, 3, 5]
         assert np.max(np.abs(A[np.ix_(plain, alpha)])) < 1e-12
@@ -207,9 +227,8 @@ class TestGeneratorMatchesReference:
 
 class TestEvolveTwoTime:
     def test_first_sample_is_equal_time_initials(self):
-        system = SystemSpec(1.0, v=1.0)
-        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 8.0)
-        t2 = node_near(table, 4.0)
+        system, table = hot_table(8.0)
+        t2 = anchor_node(table.ts, 4.0)
         series = propagate(table, system, "both", t2)
         i2 = int(round(t2 / table.dt))
         expected = equal_time_initials(series.g1[i2], series.g2[i2])
@@ -219,22 +238,19 @@ class TestEvolveTwoTime:
         assert series.qrt[0][3] + series.qrt[0][5] == pytest.approx(0.0, abs=1e-12)
 
     def test_no_tunneling_zz_constant(self):
-        system = SystemSpec(1.0, v=0.0)
-        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 6.0)
-        series = propagate(table, system, "qrt", node_near(table, 2.0))
+        system, table = hot_table(6.0, v=0.0)
+        series = propagate(table, system, "qrt", anchor_node(table.ts, 2.0))
         # with V = 0 every kernel vanishes, so the zz row has no dynamics
         assert np.allclose(np.abs(series.qrt[:, 0]), 1.0, atol=1e-8)
 
     def test_no_tunneling_no_noise_coherence_modulus(self):
-        system = SystemSpec(1.0, v=0.0)
-        table = make_table(HOT, system, NoiseSpec(0.0, 1.0), 6.0)
-        series = propagate(table, system, "qrt", node_near(table, 2.0))
+        system, table = hot_table(6.0, omega_n=0.0, v=0.0)
+        series = propagate(table, system, "qrt", anchor_node(table.ts, 2.0))
         assert np.allclose(np.abs(series.qrt[:, 2]), np.abs(series.qrt[0, 2]),
                            atol=1e-8)
 
     def test_anchor_on_last_node_rejected(self):
-        system = SystemSpec(1.0, v=1.0)
-        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 2.0)
+        system, table = hot_table(2.0)
         g1, g2 = evolve_single_time(table, system.initial_sz)
         t2 = float(table.ts[-1])
         with pytest.raises(ValueError, match=f"t2 = {t2} is the last grid node"):
@@ -242,25 +258,15 @@ class TestEvolveTwoTime:
         assert evolve_two_time(table, g1, g2, float(table.ts[-2])).qrt.shape == (2, 6)
 
     def test_zero_anchor_modes_identical(self):
-        system = SystemSpec(1.0, v=1.0)
-        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 6.0)
+        system, table = hot_table(6.0)
         series = propagate(table, system, "both", 0.0)
         assert np.max(np.abs(series.qrt - series.qrt_plus)) < 1e-10
 
     def test_no_noise_alpha_components_stay_zero(self):
-        system = SystemSpec(1.0, v=1.0)
-        table = make_table(HOT, system, NoiseSpec(0.0, 1.0), 8.0)
+        system, table = hot_table(8.0, omega_n=0.0)
         series = propagate(table, system, "both")
         for y in (series.qrt, series.qrt_plus):
             assert np.max(np.abs(y[:, [1, 3, 5]])) < 1e-10
-
-    def test_tolerance_halving(self):
-        system = SystemSpec(1.0, v=1.0)
-        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 8.0)
-        t2 = node_near(table, 2.0)
-        a = propagate(table, system, "qrt+", t2)
-        b = propagate(table, system, "qrt+", t2, rtol=5e-9, atol=5e-11)
-        assert np.max(np.abs(a.qrt_plus[:, 0].real - b.qrt_plus[:, 0].real)) < 1e-5
 
     # (1, 0.5) is 2 Omega = nu, where eta = 0 and S0 starts to oscillate in
     # time; the spectrum splits into two lines only at Omega = nu/sqrt(2)
@@ -274,7 +280,7 @@ class TestEvolveTwoTime:
         system = SystemSpec(1.0, v=0.0, initial_sz=sz)
         noise = NoiseSpec(omega_n, nu)
         table = make_table(WARM, system, noise, 12.0)
-        series = propagate(table, system, "both", node_near(table, 2.0))
+        series = propagate(table, system, "both", anchor_node(table.ts, 2.0))
         tau = series.t1 - series.t2
         s0, s1 = propagators(tau, noise)
         up = (1.0 + sz) / 2.0 * np.exp(1j * system.epsilon0 * tau)
@@ -296,8 +302,7 @@ class TestEvolveTwoTime:
         assert fit.rms_residual < 0.02 * rng
 
     def test_mutated_generator_detected(self, monkeypatch):
-        system = SystemSpec(1.0, v=1.0)
-        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 8.0)
+        system, table = hot_table(8.0)
 
         def flip_decay_sign(*args):
             A, b = assemble_generator(*args)
@@ -307,7 +312,7 @@ class TestEvolveTwoTime:
         monkeypatch.setattr(telespin.dynamics, "assemble_generator",
                             flip_decay_sign)
         with pytest.raises(IntegratorError):
-            propagate(table, system, "qrt", node_near(table, 2.0))
+            propagate(table, system, "qrt", anchor_node(table.ts, 2.0))
 
 
 def reference_single_time(table, initial_sz):
@@ -357,7 +362,7 @@ class TestStepperMatchesSolveIvp:
         g1, g2 = evolve_single_time(table, system.initial_sz)
         ref = reference_single_time(table, system.initial_sz)
         assert np.array_equal(g1, ref[0]) and np.array_equal(g2, ref[1])
-        t2 = node_near(table, 2.0)
+        t2 = anchor_node(table.ts, 2.0)
         series = evolve_two_time(table, g1, g2, t2, "both")
         for mode, y in (("qrt", series.qrt), ("qrt+", series.qrt_plus)):
             ref = reference_two_time(table, g1, g2, t2, mode)
@@ -373,7 +378,7 @@ class TestFailFast:
         system = SystemSpec(0.0, v=1.0)
         table = make_table(COLD, system, NoiseSpec(2.0, 0.01), 6.0)
         g1, g2 = evolve_single_time(table, system.initial_sz)
-        t2 = node_near(table, 2.0)
+        t2 = anchor_node(table.ts, 2.0)
 
         calls = [0]
         original = telespin.dynamics.assemble_generator
@@ -402,8 +407,7 @@ class TestStepperFailuresMatchSolveIvp:
     same first unphysical node, or with the same failed step."""
 
     def test_single_time_breach_names_the_same_node(self, monkeypatch):
-        system = SystemSpec(1.0, v=1.0)
-        table = make_table(HOT, system, NoiseSpec(0.75, 1.0), 6.0)
+        system, table = hot_table(6.0)
         original = type(table).single_time_at
 
         def growing(self, t):
@@ -437,7 +441,7 @@ class TestStepperFailuresMatchSolveIvp:
         reference_calls, calls[0] = calls[0], 0
         with pytest.raises(IntegratorError) as err:
             telespin.dynamics._propagate(
-                blow_up, y0, ts, RTOL, ATOL, "blow-up integration",
+                blow_up, y0, ts, "blow-up integration",
                 lambda block: np.zeros(block.shape[1]), 1.0, None)
         assert str(err.value) == f"blow-up integration failed: {sol.message}"
         assert calls[0] == reference_calls

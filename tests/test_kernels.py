@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from telespin.bath import BathSpec, reorganization_energy, xi_coefficient
-from telespin.dynamics import SystemSpec
+from telespin.dynamics import SystemSpec, anchor_node
 from telespin.kernels import build_single_time, resolution_bound
 from telespin.noise import NoiseSpec, propagators
 
@@ -195,8 +195,7 @@ class TestTwoTimeKernels:
     def test_against_adaptive_quadrature(self):
         # sharp tolerance requires a grid well below the resolution guard
         table = make_table(WARM, self.system, self.noise, 6.0, refine=20.0)
-        i2 = (len(table.ts) // 2 // 2) * 2
-        t2 = float(table.ts[i2])
+        t2 = anchor_node(table.ts, 3.0)
         e0 = self.system.epsilon0
         e_r, xi = reorganization_energy(WARM), xi_coefficient(WARM)
 
@@ -222,7 +221,7 @@ class TestTwoTimeKernels:
         # E_f- = conj(E_f+) requires a vanishing Q1 phase; inject Q1 = 0
         # and check G41 = conj(G31) exactly (S0 real).
         table = dataclasses.replace(self.table, e_r=0.0)
-        t2 = float(table.ts[(len(table.ts) // 3 // 2) * 2])
+        t2 = anchor_node(table.ts, 2.0)
         for t1 in (t2, t2 + 0.5):
             g31, _, g41, _ = table.two_time_pair(t1, t2)
             assert g41 == pytest.approx(np.conj(g31), abs=1e-12)
@@ -243,8 +242,7 @@ def test_table_pickles():
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
         else:
             assert a == b, f.name
-    i2 = (len(table.ts) // 3 // 2) * 2
-    t2 = float(table.ts[i2])
+    t2 = anchor_node(table.ts, 8.0 / 3.0)
     for t1 in (t2, t2 + 0.5, float(table.ts[-1])):
         assert copy.two_time_pair(t1, t2) == table.two_time_pair(t1, t2)
 

@@ -4,7 +4,8 @@ import pytest
 from telespin.bath import Q2_SUPPORT_CUT, BathSpec, xi_coefficient
 import telespin.dynamics
 import telespin.oracle
-from telespin.dynamics import SystemSpec, assemble_generator
+from telespin.dynamics import (SystemSpec, anchor_node, assemble_generator,
+                               choose_t2, evolve_single_time)
 from telespin.kernels import build_single_time, resolution_bound
 from telespin.noise import NoisePath, NoiseSpec, propagators, sample_path
 from telespin.oracle import (
@@ -81,10 +82,11 @@ def gamma_along_path(i, times, path, bath, system, noise, dt=None):
     raise ValueError("kernel family index must be in 1..5")
 
 
-def even_anchor(ts, t):
-    i = int(round(t / (ts[1] - ts[0])))
-    i += i % 2
-    return float(ts[i])
+def hot_case(omega_n, seed, horizon, t):
+    """System, noise, hot-bath table at nu = 1 and the anchor node for t."""
+    system, noise = SystemSpec(1.0, v=1.0), NoiseSpec(omega_n, 1.0, seed=seed)
+    table = make_table(HOT, system, noise, horizon)
+    return system, noise, table, anchor_node(table.ts, t)
 
 
 def single_path(path, table, t2, mode="qrt+"):
@@ -123,9 +125,8 @@ class TestBlockEngineAgainstReference:
 
     def test_two_time_families(self):
         nodes = _path_node_arrays([self.path], self.ts)
-        i2 = int(round(3.0 / self.h))
-        i2 += i2 % 2
-        t2 = self.ts[i2]
+        t2 = anchor_node(self.ts, 3.0)
+        i2 = self.table.node_index(t2)
         g3, g4 = _two_time_kernels(nodes, self.table, i2)
         # the kernels live on node indices i2 .. min(n - 1, i2 + m_cut)
         width = min(len(self.ts) - 1, i2 + self.table.m_cut) - i2 + 1
@@ -273,11 +274,7 @@ class TestBlockPeers:
 
     @pytest.mark.parametrize("mode, tol", [("qrt", 0.0), ("qrt+", 1e-15)])
     def test_alone_equals_in_block(self, mode, tol):
-        system = SystemSpec(1.0, v=1.0)
-        noise = NoiseSpec(0.75, 1.0, seed=11)
-        ts = make_grid(HOT, system, noise, 3.0)
-        t2 = even_anchor(ts, 1.0)
-        table = build_single_time(ts, HOT, system, noise)
+        system, noise, table, t2 = hot_case(0.75, 11, 3.0, 1.0)
         paths = [sample_path(noise, 3.0, s) for s in range(16)]
         sz, zz, pm, mp = _evolve_block(paths, table, table.node_index(t2),
                                        system.initial_sz, mode)
@@ -410,12 +407,9 @@ class TestChunkedScan:
     would leave the floating-point range is split on its own."""
 
     def test_chunk_length(self, monkeypatch):
-        system = SystemSpec(1.0, v=1.0)
-        noise = NoiseSpec(0.75, 1.0, seed=4)
-        ts = make_grid(HOT, system, noise, 3.0)
-        table = build_single_time(ts, HOT, system, noise)
+        system, noise, table, t2 = hot_case(0.75, 4, 3.0, 1.0)
         paths = [sample_path(noise, 3.0, s) for s in range(4)]
-        i2 = table.node_index(even_anchor(ts, 1.0))
+        i2 = table.node_index(t2)
         for mode in ("qrt", "qrt+"):
             ref = _evolve_block(paths, table, i2, system.initial_sz, mode)
             with monkeypatch.context() as patch:
@@ -501,7 +495,7 @@ class TestEvolveTrajectory:
         noise = NoiseSpec(0.75, 1.0, seed=3)
         table = make_table(WARM, system, noise, 6.0)
         _, zz, _, _ = single_path(sample_path(noise, 6.0, 1), table,
-                                  even_anchor(table.ts, 2.0))
+                                  anchor_node(table.ts, 2.0))
         assert zz[0] == 1.0 + 0j
 
     def test_no_tunneling_static(self):
@@ -509,7 +503,7 @@ class TestEvolveTrajectory:
         noise = NoiseSpec(0.75, 1.0, seed=3)
         table = make_table(WARM, system, noise, 6.0)
         sz, _, _, _ = single_path(sample_path(noise, 6.0, 2), table,
-                                  even_anchor(table.ts, 2.0))
+                                  anchor_node(table.ts, 2.0))
         assert np.allclose(sz, sz[0], atol=1e-12)
 
     def test_frozen_noise_matches_shifted_bias_dynamics(self):
@@ -520,13 +514,8 @@ class TestEvolveTrajectory:
         for sign in (+1, -1):
             shifted = SystemSpec(epsilon0=system.epsilon0 + sign * noise.omega_n,
                                  v=1.0)
-            bound = resolution_bound(xi_coefficient(WARM), shifted.epsilon0,
-                                     0.0, 1.0)
-            dt = bound / 6.0
-            n = int(np.ceil(horizon / dt))
-            n += n % 2
-            ts = np.linspace(0.0, horizon, n + 1)
-            t2 = even_anchor(ts, 4.0)
+            ts = make_grid(WARM, shifted, NoiseSpec(0.0, 1.0), horizon, refine=6.0)
+            t2 = anchor_node(ts, 4.0)
             path = NoisePath(flip_times=np.array([]), initial_sign=sign)
             sz, zz, pm, mp = single_path(
                 path, build_single_time(ts, WARM, system, noise), t2, mode="qrt"
@@ -543,10 +532,7 @@ class TestEvolveTrajectory:
 
 class TestMonteCarlo:
     def test_degenerate_without_noise(self):
-        system = SystemSpec(1.0, v=1.0)
-        noise = NoiseSpec(0.0, 1.0, seed=9)
-        table = make_table(HOT, system, noise, 4.0)
-        t2 = even_anchor(table.ts, 2.0)
+        system, noise, table, t2 = hot_case(0.0, 9, 4.0, 2.0)
         mc = monte_carlo(table, t2, system.initial_sz, noise.seed, 100)
         _, zz, _, _ = single_path(sample_path(noise, 4.0, 0), table, t2)
         # identical paths up to pairwise-summation rounding of the reduction
@@ -557,10 +543,7 @@ class TestMonteCarlo:
         assert np.max(dev) < 3.0
 
     def test_seeded_reproducibility(self):
-        system = SystemSpec(1.0, v=1.0)
-        noise = NoiseSpec(0.75, 1.0, seed=31)
-        table = make_table(HOT, system, noise, 3.0)
-        t2 = even_anchor(table.ts, 1.5)
+        system, noise, table, t2 = hot_case(0.75, 31, 3.0, 1.5)
         a = monte_carlo(table, t2, system.initial_sz, noise.seed, 128)
         b = monte_carlo(table, t2, system.initial_sz, noise.seed, 128)
         for key in ("zz", "pm", "mp", "sz"):
@@ -568,10 +551,7 @@ class TestMonteCarlo:
             assert np.array_equal(a[key].se_re, b[key].se_re)
 
     def test_standard_error_scaling(self):
-        system = SystemSpec(1.0, v=1.0)
-        noise = NoiseSpec(0.75, 1.0, seed=13)
-        table = make_table(HOT, system, noise, 3.0)
-        t2 = even_anchor(table.ts, 1.5)
+        system, noise, table, t2 = hot_case(0.75, 13, 3.0, 1.5)
         small = monte_carlo(table, t2, system.initial_sz, noise.seed, 400)
         large = monte_carlo(table, t2, system.initial_sz, noise.seed, 1600)
         # quadrupling the ensemble halves the median standard error
@@ -583,10 +563,7 @@ class TestMonteCarlo:
         # near the anchor zz spreads by ~1e-6 about a mean near 1, where a
         # one-pass sum-of-squares variance cancels; the block merge must
         # agree with a two-pass std over the same paths run one at a time
-        system = SystemSpec(1.0, v=1.0)
-        noise = NoiseSpec(0.75, 1.0, seed=7)
-        table = make_table(HOT, system, noise, 3.0)
-        t2 = even_anchor(table.ts, 1.5)
+        system, noise, table, t2 = hot_case(0.75, 7, 3.0, 1.5)
         n = 2 * BLOCK
         mc = monte_carlo(table, t2, system.initial_sz, noise.seed, n)
         runs = [single_path(sample_path(noise, float(table.ts[-1]), p), table,
@@ -600,20 +577,28 @@ class TestMonteCarlo:
             np.testing.assert_allclose(se[big], ref[big], rtol=1e-10, atol=0,
                                        err_msg=key)
 
+    def test_policy_anchor_reaches_the_oracle(self):
+        # the README sketch at omega_n = 0.5: g1 settles on odd node 13 287
+        system, noise, table, _ = hot_case(0.5, 7, 40.0, 0.0)
+        g1, _ = evolve_single_time(table, system.initial_sz)
+        t2 = choose_t2(table.ts, g1)
+        assert table.node_index(t2) == 13288
+        mc = monte_carlo(table, t2, system.initial_sz, noise.seed, 100)
+        assert mc["t1"][0] == t2 and mc["zz"].mean[0] == 1.0
+
+    def test_odd_anchor_rejected(self):
+        system, noise, table, t2 = hot_case(0.75, 13, 2.0, 1.0)
+        with pytest.raises(ValueError, match="an even one, as dynamics.anchor_node"):
+            monte_carlo(table, t2 + table.dt, system.initial_sz, noise.seed, 100)
+
     def test_minimum_ensemble(self):
-        system = SystemSpec(1.0, v=1.0)
-        noise = NoiseSpec(0.75, 1.0, seed=13)
-        table = make_table(HOT, system, noise, 2.0)
+        system, noise, table, t2 = hot_case(0.75, 13, 2.0, 1.0)
         with pytest.raises(ValueError):
-            monte_carlo(table, even_anchor(table.ts, 1.0), system.initial_sz,
-                        noise.seed, 50)
+            monte_carlo(table, t2, system.initial_sz, noise.seed, 50)
 
     def test_single_time_matches_averaged_equations(self):
         # statistics-dominated regime: 2000 paths on a short horizon
-        system = SystemSpec(1.0, v=1.0)
-        noise = NoiseSpec(0.75, 1.0, seed=20260810)
-        table = make_table(HOT, system, noise, 6.0)
-        t2 = even_anchor(table.ts, 3.0)
+        system, noise, table, t2 = hot_case(0.75, 20260810, 6.0, 3.0)
         mc = monte_carlo(table, t2, system.initial_sz, noise.seed, 2000)
         series = propagate(table, system, "qrt+", t2)
         dev = standardized_deviation(mc["sz"], series.g1[::2])
@@ -624,10 +609,7 @@ class TestMutationCheck:
     def test_corrupted_generator_fails_validation(self, monkeypatch):
         # flipping the coherence rotation sign is stable but wrong; the
         # ensemble comparison must flag it
-        system = SystemSpec(1.0, v=1.0)
-        noise = NoiseSpec(0.75, 1.0, seed=6)
-        table = make_table(HOT, system, noise, 6.0)
-        t2 = even_anchor(table.ts, 2.0)
+        system, noise, table, t2 = hot_case(0.75, 6, 6.0, 2.0)
 
         def flip_rotation(*args):
             A, b = assemble_generator(*args)
